@@ -64,7 +64,9 @@ pub fn low_bits(value: u64, bits: u32) -> u64 {
 /// Folds a 64-bit value into `bits` bits by XOR-ing `bits`-wide chunks.
 ///
 /// Used where a full history/address must be compressed rather than
-/// truncated (skewed hashing, tag formation).
+/// truncated (skewed hashing). TAGE's tag and index hashes use the same
+/// fold, but keep it incrementally instead of calling this per lookup;
+/// this is the oracle its folded histories are tested against.
 ///
 /// # Panics
 ///

@@ -17,12 +17,27 @@ pub type CounterId = usize;
 ///
 /// # Contract
 ///
-/// For every conditional branch, in program order, call
-/// [`predict`](Self::predict) (any number of times — it is pure with
-/// respect to predictor state) and then [`update`](Self::update) exactly
-/// once with the architectural outcome. `update` recomputes whatever
-/// internal indices it needs from the *pre-update* state, so no token has
-/// to be carried from `predict` to `update`.
+/// The measurement sessions (`bpred-analysis`'s packed and batch
+/// engines) drive a predictor through [`step`](Self::step) alone: one
+/// call per conditional branch, in program order, that predicts and
+/// then trains from the same lookup and returns the prediction.
+///
+/// [`predict`](Self::predict) and [`update`](Self::update) remain the
+/// reference contract, which the scalar `analysis::simulate` oracle and
+/// the `bpred-check` model checker use. For every conditional branch,
+/// in program order, call `predict` (any number of times — it is pure
+/// with respect to predictor state) and then `update` exactly once with
+/// the architectural outcome. `update` recomputes whatever internal
+/// indices it needs from the *pre-update* state, so no token has to be
+/// carried from `predict` to `update`.
+///
+/// `step(pc, target, taken)` must be observably identical to the
+/// reference pair: it returns what `predict_with_target(pc, t)` (or
+/// `predict(pc)` when `target` is `None`) would have, and leaves the
+/// state `update(pc, taken)` would have — down to the `Debug`
+/// rendering. The default body is exactly that pair; families whose
+/// lookup is expensive override it, and the engine-equivalence checks
+/// (sessions against the scalar oracle) prove each override exact.
 ///
 /// Implementations are deterministic: the same branch stream always
 /// produces the same predictions.
@@ -51,6 +66,19 @@ pub trait Predictor: fmt::Debug {
     /// Trains the predictor with the architectural outcome of the branch
     /// at `pc` and advances any history state.
     fn update(&mut self, pc: u64, taken: bool);
+
+    /// Predicts the branch at `pc`, trains on its outcome `taken` from
+    /// the same lookup, and returns the prediction — the fused form of
+    /// `predict_with_target` (or `predict` when `target` is `None`)
+    /// followed by `update`, which is the default body.
+    fn step(&mut self, pc: u64, target: Option<u64>, taken: bool) -> bool {
+        let prediction = match target {
+            Some(target) => self.predict_with_target(pc, target),
+            None => self.predict(pc),
+        };
+        self.update(pc, taken);
+        prediction
+    }
 
     /// Hardware cost in the paper's accounting (see [`crate::cost`]).
     fn cost(&self) -> Cost;
@@ -107,6 +135,10 @@ impl Predictor for Box<dyn Predictor> {
         (**self).update(pc, taken);
     }
 
+    fn step(&mut self, pc: u64, target: Option<u64>, taken: bool) -> bool {
+        (**self).step(pc, target, taken)
+    }
+
     fn cost(&self) -> Cost {
         (**self).cost()
     }
@@ -140,6 +172,7 @@ mod tests {
         assert!(boxed.predict(0x1000));
         boxed.update(0x1000, false);
         assert!(boxed.predict(0x1000));
+        assert!(boxed.step(0x1000, None, false));
         assert_eq!(boxed.cost(), Cost::default());
         assert_eq!(boxed.counter_id(0), None);
         assert_eq!(boxed.num_counters(), 0);

@@ -21,6 +21,12 @@ use crate::table::CounterTable;
 pub const CASCADE_GATE_BITS: u32 = 6;
 
 /// A confidence-gated cascade over two or more component predictors.
+///
+/// Stages are **target-blind**: the cascade consults `stage.predict(pc)`
+/// and steps `stage.step(pc, None, taken)`, never passing the decoded
+/// target on, even when it is given one. A `btfnt` stage inside a
+/// cascade therefore predicts as plain `predict` does, exactly as the
+/// results in the store were computed.
 #[derive(Debug)]
 pub struct Cascade {
     stages: Vec<Box<dyn Predictor>>,
@@ -101,6 +107,24 @@ impl Predictor for Cascade {
         for stage in &mut self.stages {
             stage.update(pc, taken);
         }
+    }
+
+    fn step(&mut self, pc: u64, _target: Option<u64>, taken: bool) -> bool {
+        // The stage is selected before any gate moves; each stage's
+        // fused step returns the pre-update prediction its gate scores.
+        let selected = self.selected_stage(pc);
+        let gi = Self::gate_index(pc);
+        let mut prediction = false;
+        for (i, stage) in self.stages.iter_mut().enumerate() {
+            let stage_prediction = stage.step(pc, None, taken);
+            if i == selected {
+                prediction = stage_prediction;
+            }
+            if i > 0 {
+                self.gates[i - 1].update(gi, stage_prediction == taken);
+            }
+        }
+        prediction
     }
 
     fn cost(&self) -> Cost {
@@ -212,6 +236,27 @@ mod tests {
             assert_eq!(c.selected_stage(pc), 0);
             assert_eq!(c.predict(pc), fresh.predict(pc));
         }
+    }
+
+    #[test]
+    fn stages_never_see_the_target() {
+        // With its target, btfnt would call a forward branch not taken;
+        // plain `predict` says taken. Inside a cascade it must only
+        // ever answer the latter, whether the cascade is asked with a
+        // target or stepped with one.
+        let spec: crate::PredictorSpec = "cascade:btfnt;gshare:s=5,h=5"
+            .parse()
+            .expect("fixed spec parses");
+        let (pc, forward) = (0x1000, 0x2000);
+        let mut stepped = spec.build();
+        let mut blind = spec.build();
+        assert!(stepped.predict_with_target(pc, forward));
+        for i in 0..200u64 {
+            let (pc, taken) = (pc + (i % 5) * 4, i % 3 != 0);
+            assert_eq!(stepped.step(pc, Some(forward), taken), blind.predict(pc));
+            blind.update(pc, taken);
+        }
+        assert_eq!(format!("{stepped:?}"), format!("{blind:?}"));
     }
 
     #[test]

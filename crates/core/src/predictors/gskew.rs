@@ -73,9 +73,29 @@ impl Gskew {
         })
     }
 
-    fn votes(&self, pc: u64) -> [bool; 3] {
-        let idx = self.indices(pc);
+    fn votes(&self, idx: [usize; 3]) -> [bool; 3] {
         std::array::from_fn(|b| self.banks[b].predict(idx[b]))
+    }
+
+    fn majority(votes: [bool; 3]) -> bool {
+        (u8::from(votes[0]) + u8::from(votes[1]) + u8::from(votes[2])) >= 2
+    }
+
+    /// Trains the banks at `idx`, which voted `votes`, on `taken`, then
+    /// advances the history.
+    fn train(&mut self, idx: [usize; 3], votes: [bool; 3], taken: bool) {
+        let majority = Self::majority(votes);
+        let correct = majority == taken;
+        for bank in 0..3 {
+            let train = match self.update {
+                GskewUpdate::Total => true,
+                GskewUpdate::Partial => !correct || votes[bank] == majority,
+            };
+            if train {
+                self.banks[bank].update(idx[bank], taken);
+            }
+        }
+        self.history.push(taken);
     }
 }
 
@@ -89,25 +109,19 @@ impl Predictor for Gskew {
     }
 
     fn predict(&self, pc: u64) -> bool {
-        let v = self.votes(pc);
-        (u8::from(v[0]) + u8::from(v[1]) + u8::from(v[2])) >= 2
+        Self::majority(self.votes(self.indices(pc)))
     }
 
     fn update(&mut self, pc: u64, taken: bool) {
         let idx = self.indices(pc);
-        let votes = self.votes(pc);
-        let majority = self.predict(pc);
-        let correct = majority == taken;
-        for bank in 0..3 {
-            let train = match self.update {
-                GskewUpdate::Total => true,
-                GskewUpdate::Partial => !correct || votes[bank] == majority,
-            };
-            if train {
-                self.banks[bank].update(idx[bank], taken);
-            }
-        }
-        self.history.push(taken);
+        self.train(idx, self.votes(idx), taken);
+    }
+
+    fn step(&mut self, pc: u64, _target: Option<u64>, taken: bool) -> bool {
+        let idx = self.indices(pc);
+        let votes = self.votes(idx);
+        self.train(idx, votes, taken);
+        Self::majority(votes)
     }
 
     fn cost(&self) -> Cost {

@@ -23,7 +23,9 @@ pub const WEIGHT_BITS: u32 = 8;
 /// rows × history bits × 8).
 #[derive(Debug, Clone)]
 pub struct Perceptron {
-    rows: Vec<Vec<i8>>,
+    /// Every row's weights in one flat table, row stride
+    /// `history_bits`.
+    weights: Vec<i8>,
     history: GlobalHistory,
     rows_bits: u32,
     history_bits: u32,
@@ -49,7 +51,7 @@ impl Perceptron {
             "perceptron history must be 1..=63 bits, got {history_bits}"
         );
         Self {
-            rows: vec![vec![0i8; history_bits as usize]; 1usize << rows_bits],
+            weights: vec![0i8; (history_bits as usize) << rows_bits],
             history: GlobalHistory::new(history_bits),
             rows_bits,
             history_bits,
@@ -64,25 +66,43 @@ impl Perceptron {
         (193 * history_bits + 1400) / 100
     }
 
-    fn row_of(&self, pc: u64) -> usize {
-        to_index(low_bits(pc_word(pc), self.rows_bits))
+    /// Where the weight row of the branch at `pc` starts in the flat
+    /// table.
+    fn row_start(&self, pc: u64) -> usize {
+        to_index(low_bits(pc_word(pc), self.rows_bits)) * self.history_bits as usize
     }
 
     /// The dot product of the row's weights with the ±1-encoded
-    /// history (bit i of the register pairs with weight i).
-    fn output(&self, pc: u64) -> i32 {
+    /// history (bit i of the register pairs with weight i), without a
+    /// branch per weight: a history bit of 0 makes `negate` all ones,
+    /// and `(w ^ negate) - negate` is then `-w`.
+    fn output(&self, row_start: usize) -> i32 {
         let h = self.history.value();
-        self.rows[self.row_of(pc)]
+        self.weights[row_start..row_start + self.history_bits as usize]
             .iter()
             .enumerate()
             .map(|(i, &w)| {
-                if (h >> i) & 1 == 1 {
-                    i32::from(w)
-                } else {
-                    -i32::from(w)
-                }
+                let negate = i32::from((h >> i) & 1 == 1) - 1;
+                (i32::from(w) ^ negate) - negate
             })
             .sum()
+    }
+
+    /// Trains the row at `row_start` on `taken` given its output `y`
+    /// before the update, then advances the history.
+    fn train(&mut self, row_start: usize, y: i32, taken: bool) {
+        // Train on any misprediction, and on low-margin correct
+        // predictions (|y| <= theta), saturating each weight at the i8
+        // rails.
+        if (y >= 0) != taken || y.unsigned_abs() <= self.theta {
+            let h = self.history.value();
+            let row = &mut self.weights[row_start..row_start + self.history_bits as usize];
+            for (i, w) in row.iter_mut().enumerate() {
+                let agrees = ((h >> i) & 1 == 1) == taken;
+                *w = w.saturating_add(2 * i8::from(agrees) - 1);
+            }
+        }
+        self.history.push(taken);
     }
 }
 
@@ -99,28 +119,20 @@ impl Predictor for Perceptron {
     }
 
     fn predict(&self, pc: u64) -> bool {
-        self.output(pc) >= 0
+        self.output(self.row_start(pc)) >= 0
     }
 
     fn update(&mut self, pc: u64, taken: bool) {
-        let y = self.output(pc);
-        let predicted = y >= 0;
-        // Train on any misprediction, and on low-margin correct
-        // predictions (|y| <= theta), saturating each weight at the i8
-        // rails.
-        if predicted != taken || y.unsigned_abs() <= self.theta {
-            let h = self.history.value();
-            let row = self.row_of(pc);
-            for (i, w) in self.rows[row].iter_mut().enumerate() {
-                let agrees = ((h >> i) & 1 == 1) == taken;
-                *w = if agrees {
-                    w.saturating_add(1)
-                } else {
-                    w.saturating_sub(1)
-                };
-            }
-        }
-        self.history.push(taken);
+        let row_start = self.row_start(pc);
+        let y = self.output(row_start);
+        self.train(row_start, y, taken);
+    }
+
+    fn step(&mut self, pc: u64, _target: Option<u64>, taken: bool) -> bool {
+        let row_start = self.row_start(pc);
+        let y = self.output(row_start);
+        self.train(row_start, y, taken);
+        y >= 0
     }
 
     fn cost(&self) -> Cost {
@@ -133,9 +145,7 @@ impl Predictor for Perceptron {
     }
 
     fn reset(&mut self) {
-        for row in &mut self.rows {
-            row.iter_mut().for_each(|w| *w = 0);
-        }
+        self.weights.iter_mut().for_each(|w| *w = 0);
         self.history.reset();
     }
 }
@@ -212,7 +222,7 @@ mod tests {
         for _ in 0..600 {
             p.update(0x1000, true);
         }
-        assert_eq!(p.rows[0], [127, 127]);
+        assert_eq!(p.weights[..2], [127, 127]);
     }
 
     #[test]

@@ -9,11 +9,19 @@
 //! The reproduction question this serves (`repro zoo.cost`): does
 //! bi-mode's de-aliasing still buy anything at equal cost once tagging
 //! filters the destructive aliases directly?
+//!
+//! Each table's index and tag hashes fold up to 63 history bits into
+//! `entry_bits` and `tag_bits` bits. Rather than re-folding on every
+//! lookup, every table keeps its three folds as circular shift
+//! registers ([`FoldedHistory`]) advanced once per history push, as in
+//! Seznec's TAGE; [`fold_xor`](crate::index::fold_xor) is the oracle
+//! they are tested against. A lookup is allocation-free, and
+//! [`Predictor::step`] trains from the lookup it predicted with.
 
 use crate::cost::Cost;
 use crate::counter::Counter2;
 use crate::history::{GlobalHistory, MAX_HISTORY_BITS};
-use crate::index::{fold_xor, low_bits, pc_word, to_index};
+use crate::index::{low_bits, pc_word, to_index};
 use crate::predictor::{CounterId, Predictor};
 use crate::table::CounterTable;
 
@@ -27,6 +35,8 @@ const CTR_MAX: u8 = (1 << CTR_BITS) - 1;
 const CTR_WEAK_TAKEN: u8 = 1 << (CTR_BITS - 1);
 /// Saturation ceiling of the useful counter.
 const USEFUL_MAX: u8 = (1 << USEFUL_BITS) - 1;
+/// Most tagged tables a TAGE may have; sizes the per-lookup arrays.
+const MAX_TABLES: usize = 16;
 
 /// One entry of a tagged component table.
 #[derive(Debug, Clone, Copy)]
@@ -68,22 +78,69 @@ impl TagEntry {
     }
 }
 
+/// The low `len` history bits XOR-folded into `width` bits, kept equal
+/// to `fold_xor(history.low(len), width)` one push at a time: shift the
+/// new outcome in, cancel the outcome that leaves the `len`-bit window
+/// (it sits at fold bit `len % width` after the shift), and wrap the
+/// bit shifted out at the top back into bit 0. A zero `width` is the
+/// empty fold: its wrap step `v ^= v >> 0` clears it, so it stays 0.
+#[derive(Debug, Clone, Copy)]
+struct FoldedHistory {
+    value: u64,
+    width: u32,
+    /// `len % width`: where the leaving outcome lands after the shift.
+    leave: u32,
+}
+
+impl FoldedHistory {
+    fn new(len: u32, width: u32) -> Self {
+        Self {
+            value: 0,
+            width,
+            leave: len.checked_rem(width).unwrap_or(0),
+        }
+    }
+
+    /// Advances the fold by one history push: `new` enters the window,
+    /// `old` (the window's oldest outcome before the push) leaves it.
+    fn push(&mut self, new: bool, old: bool) {
+        let mut v = (self.value << 1) | u64::from(new);
+        v ^= u64::from(old) << self.leave;
+        v ^= v >> self.width;
+        self.value = low_bits(v, self.width);
+    }
+}
+
 /// One tagged component: `2^entry_bits` entries consulted with a fixed
-/// slice of the global history.
+/// slice of the global history, plus that slice folded for the index
+/// hash and for the two tag hashes.
 #[derive(Debug, Clone)]
 struct TaggedTable {
     entries: Vec<TagEntry>,
     history_len: u32,
+    /// The history slice folded to `entry_bits`.
+    index_fold: FoldedHistory,
+    /// The history slice folded to `tag_bits`.
+    tag_fold: FoldedHistory,
+    /// The history slice folded to `tag_bits - 1` (empty at one tag bit).
+    tag_fold_short: FoldedHistory,
 }
 
 /// What one prediction consulted: per-table indices and tags, the
-/// provider (longest-history tag match) and its alternate.
+/// provider (longest-history tag match), and what the provider, its
+/// alternate and the predictor as a whole predicted. Only the first
+/// `tables` slots of each array are meaningful.
 struct Lookup {
-    indices: Vec<usize>,
-    tags: Vec<u16>,
+    indices: [usize; MAX_TABLES],
+    tags: [u16; MAX_TABLES],
     provider: Option<usize>,
-    alt: Option<usize>,
     base_index: usize,
+    /// The provider entry's own direction (the base's without one).
+    provider_prediction: bool,
+    /// The alternate's direction: the next-longest match, else the base.
+    alt_prediction: bool,
+    /// The final prediction.
+    prediction: bool,
 }
 
 /// A TAGE predictor: a `2^entry_bits` bimodal base plus `tables`
@@ -113,8 +170,8 @@ impl Tage {
     #[must_use]
     pub fn new(tables: u32, max_history: u32, tag_bits: u32, entry_bits: u32) -> Self {
         assert!(
-            (1..=16).contains(&tables),
-            "tage wants 1..=16 tagged tables, got {tables}"
+            (1..=MAX_TABLES).contains(&(tables as usize)),
+            "tage wants 1..={MAX_TABLES} tagged tables, got {tables}"
         );
         assert!(
             (1..=20).contains(&entry_bits),
@@ -128,9 +185,15 @@ impl Tage {
             (1..=MAX_HISTORY_BITS).contains(&max_history),
             "tage history must be 1..=63 bits, got {max_history}"
         );
-        let component = |i: u32| TaggedTable {
-            entries: vec![TagEntry::empty(); 1usize << entry_bits],
-            history_len: (max_history >> (tables - 1 - i)).max(1),
+        let component = |i: u32| {
+            let history_len = (max_history >> (tables - 1 - i)).max(1);
+            TaggedTable {
+                entries: vec![TagEntry::empty(); 1usize << entry_bits],
+                history_len,
+                index_fold: FoldedHistory::new(history_len, entry_bits),
+                tag_fold: FoldedHistory::new(history_len, tag_bits),
+                tag_fold_short: FoldedHistory::new(history_len, tag_bits - 1),
+            }
         };
         Self {
             base: CounterTable::new(entry_bits, Counter2::WEAKLY_TAKEN),
@@ -150,12 +213,9 @@ impl Tage {
     }
 
     fn index_of(&self, table: &TaggedTable, pc: u64) -> usize {
-        let h = self.history.low(table.history_len);
         let w = pc_word(pc);
         to_index(low_bits(
-            w ^ (w >> self.entry_bits)
-                ^ fold_xor(h, self.entry_bits)
-                ^ u64::from(table.history_len),
+            w ^ (w >> self.entry_bits) ^ table.index_fold.value ^ u64::from(table.history_len),
             self.entry_bits,
         ))
     }
@@ -164,93 +224,69 @@ impl Tage {
         // Two differently-folded history hashes, the canonical
         // CSR1 ^ (CSR2 << 1) construction, so index-aliasing branches
         // rarely tag-alias too.
-        let h = self.history.low(table.history_len);
-        let f1 = fold_xor(h, self.tag_bits);
-        let f2 = if self.tag_bits > 1 {
-            fold_xor(h, self.tag_bits - 1) << 1
-        } else {
-            0
-        };
         let w = pc_word(pc);
-        low_bits(w ^ (w >> self.tag_bits) ^ f1 ^ f2, self.tag_bits) as u16
+        low_bits(
+            w ^ (w >> self.tag_bits) ^ table.tag_fold.value ^ (table.tag_fold_short.value << 1),
+            self.tag_bits,
+        ) as u16
     }
 
     fn lookup(&self, pc: u64) -> Lookup {
-        let indices: Vec<usize> = self.tables.iter().map(|t| self.index_of(t, pc)).collect();
-        let tags: Vec<u16> = self.tables.iter().map(|t| self.tag_of(t, pc)).collect();
-        let mut provider = None;
-        let mut alt = None;
+        let mut indices = [0; MAX_TABLES];
+        let mut tags = [0; MAX_TABLES];
+        // Bit i set: table i tag-matches. Collected without a branch per
+        // table, then the two highest set bits are the provider and alt.
+        let mut hits = 0u32;
         for (i, table) in self.tables.iter().enumerate() {
+            indices[i] = self.index_of(table, pc);
+            tags[i] = self.tag_of(table, pc);
             let e = table.entries[indices[i]];
-            if e.valid && e.tag == tags[i] {
-                alt = provider;
-                provider = Some(i);
-            }
+            hits |= u32::from(e.valid & (e.tag == tags[i])) << i;
         }
+        let highest = |bits: u32| bits.checked_ilog2().map(|i| i as usize);
+        let provider = highest(hits);
+        let alt = provider.and_then(|i| highest(hits & !(1 << i)));
+        let base_index = to_index(low_bits(pc_word(pc), self.entry_bits));
+        let entry = |i: usize| self.tables[i].entries[indices[i]];
+        let base_prediction = self.base.predict(base_index);
+        let alt_prediction = alt.map_or(base_prediction, |j| entry(j).predict());
+        let (provider_prediction, prediction) = match provider {
+            Some(i) => {
+                let e = entry(i);
+                // use-alt-on-newly-allocated: a weak provider defers to
+                // the alternate prediction until it has proven useful.
+                let prediction = if e.is_weak() {
+                    alt_prediction
+                } else {
+                    e.predict()
+                };
+                (e.predict(), prediction)
+            }
+            None => (base_prediction, base_prediction),
+        };
         Lookup {
             indices,
             tags,
             provider,
-            alt,
-            base_index: to_index(low_bits(pc_word(pc), self.entry_bits)),
+            base_index,
+            provider_prediction,
+            alt_prediction,
+            prediction,
         }
     }
 
-    fn alt_prediction(&self, l: &Lookup) -> bool {
-        match l.alt {
-            Some(j) => self.tables[j].entries[l.indices[j]].predict(),
-            None => self.base.predict(l.base_index),
-        }
-    }
-
-    fn prediction(&self, l: &Lookup) -> bool {
+    /// Trains on the outcome of the branch `l` looked up, then
+    /// advances the history.
+    fn train(&mut self, l: &Lookup, taken: bool) {
         match l.provider {
             Some(i) => {
-                let e = self.tables[i].entries[l.indices[i]];
-                // use-alt-on-newly-allocated: a weak provider defers to
-                // the alternate prediction until it has proven useful.
-                if e.is_weak() {
-                    self.alt_prediction(l)
-                } else {
-                    e.predict()
-                }
-            }
-            None => self.base.predict(l.base_index),
-        }
-    }
-}
-
-impl Predictor for Tage {
-    fn clone_box(&self) -> Box<dyn Predictor> {
-        Box::new(self.clone())
-    }
-
-    fn name(&self) -> String {
-        format!(
-            "tage(t={},h={},tag={},e={})",
-            self.num_tables, self.max_history, self.tag_bits, self.entry_bits
-        )
-    }
-
-    fn predict(&self, pc: u64) -> bool {
-        let l = self.lookup(pc);
-        self.prediction(&l)
-    }
-
-    fn update(&mut self, pc: u64, taken: bool) {
-        let l = self.lookup(pc);
-        let final_prediction = self.prediction(&l);
-        match l.provider {
-            Some(i) => {
-                let provider_prediction = self.tables[i].entries[l.indices[i]].predict();
-                let alt_prediction = self.alt_prediction(&l);
                 let e = &mut self.tables[i].entries[l.indices[i]];
                 e.train(taken);
                 // The useful counter moves only when the provider and
                 // its alternate disagreed — that is when the provider's
                 // existence changed the prediction.
-                if provider_prediction != alt_prediction {
-                    if provider_prediction == taken {
+                if l.provider_prediction != l.alt_prediction {
+                    if l.provider_prediction == taken {
                         if e.useful < USEFUL_MAX {
                             e.useful += 1;
                         }
@@ -267,7 +303,7 @@ impl Predictor for Tage {
         // candidate is defending its slot, decay them all instead
         // (the canonical age-on-failed-allocation rule).
         let first_candidate = l.provider.map_or(0, |i| i + 1);
-        if final_prediction != taken && first_candidate < self.tables.len() {
+        if l.prediction != taken && first_candidate < self.tables.len() {
             let mut allocated = false;
             for j in first_candidate..self.tables.len() {
                 let e = &mut self.tables[j].entries[l.indices[j]];
@@ -296,7 +332,48 @@ impl Predictor for Tage {
             }
         }
 
+        self.push_history(taken);
+    }
+
+    /// Shifts an outcome into the history and advances every table's
+    /// folds past it.
+    fn push_history(&mut self, taken: bool) {
+        let h = self.history.value();
+        for t in &mut self.tables {
+            let old = (h >> (t.history_len - 1)) & 1 == 1;
+            t.index_fold.push(taken, old);
+            t.tag_fold.push(taken, old);
+            t.tag_fold_short.push(taken, old);
+        }
         self.history.push(taken);
+    }
+}
+
+impl Predictor for Tage {
+    fn clone_box(&self) -> Box<dyn Predictor> {
+        Box::new(self.clone())
+    }
+
+    fn name(&self) -> String {
+        format!(
+            "tage(t={},h={},tag={},e={})",
+            self.num_tables, self.max_history, self.tag_bits, self.entry_bits
+        )
+    }
+
+    fn predict(&self, pc: u64) -> bool {
+        self.lookup(pc).prediction
+    }
+
+    fn update(&mut self, pc: u64, taken: bool) {
+        let l = self.lookup(pc);
+        self.train(&l, taken);
+    }
+
+    fn step(&mut self, pc: u64, _target: Option<u64>, taken: bool) -> bool {
+        let l = self.lookup(pc);
+        self.train(&l, taken);
+        l.prediction
     }
 
     fn cost(&self) -> Cost {
@@ -319,6 +396,9 @@ impl Predictor for Tage {
         self.base.reset();
         for t in &mut self.tables {
             t.entries.iter_mut().for_each(|e| *e = TagEntry::empty());
+            t.index_fold.value = 0;
+            t.tag_fold.value = 0;
+            t.tag_fold_short.value = 0;
         }
         self.history.reset();
     }
@@ -340,6 +420,63 @@ impl Predictor for Tage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::fold_xor;
+
+    /// Checks every table's incremental folds against the `fold_xor`
+    /// oracle over the table's current history window.
+    fn assert_folds_match_oracle(p: &Tage) {
+        for (i, t) in p.tables.iter().enumerate() {
+            let h = p.history.low(t.history_len);
+            assert_eq!(
+                t.index_fold.value,
+                fold_xor(h, p.entry_bits),
+                "table {i} index fold"
+            );
+            assert_eq!(
+                t.tag_fold.value,
+                fold_xor(h, p.tag_bits),
+                "table {i} tag fold"
+            );
+            let short = if p.tag_bits > 1 {
+                fold_xor(h, p.tag_bits - 1)
+            } else {
+                0
+            };
+            assert_eq!(t.tag_fold_short.value, short, "table {i} short tag fold");
+        }
+    }
+
+    #[test]
+    fn folded_histories_track_the_fold_xor_oracle() {
+        // (tables, max_history, tag_bits, entry_bits): one tag bit (the
+        // short fold is empty), windows shorter than every fold width,
+        // the full 63-bit register, and the widest 20-bit index.
+        for (tables, max_history, tag_bits, entry_bits) in [
+            (3, 12, 1, 6),
+            (2, 4, 9, 12),
+            (1, 1, 2, 1),
+            (4, 63, 8, 10),
+            (2, 63, 16, 20),
+        ] {
+            let mut p = Tage::new(tables, max_history, tag_bits, entry_bits);
+            assert_folds_match_oracle(&p);
+            let mut x = 0x9E37_79B9_7F4A_7C15u64;
+            for i in 0..400u64 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let (pc, taken) = (0x1000 + (x % 29) * 4, x & 0x100 != 0);
+                if i % 2 == 0 {
+                    p.update(pc, taken);
+                } else {
+                    p.step(pc, None, taken);
+                }
+                assert_folds_match_oracle(&p);
+            }
+            p.reset();
+            assert_folds_match_oracle(&p);
+        }
+    }
 
     #[test]
     fn history_lengths_halve_geometrically() {

@@ -100,23 +100,10 @@ impl TwoBcGskew {
     pub fn uses_egskew(&self, pc: u64) -> bool {
         self.lookup(pc).use_egskew
     }
-}
 
-impl Predictor for TwoBcGskew {
-    fn clone_box(&self) -> Box<dyn Predictor> {
-        Box::new(self.clone())
-    }
-
-    fn name(&self) -> String {
-        format!("2bc-gskew(s={},h={})", self.bank_bits, self.long_history)
-    }
-
-    fn predict(&self, pc: u64) -> bool {
-        self.lookup(pc).prediction
-    }
-
-    fn update(&mut self, pc: u64, taken: bool) {
-        let l = self.lookup(pc);
+    /// Trains on the outcome of the branch `l` looked up, then advances
+    /// the history.
+    fn train(&mut self, l: Lookup, taken: bool) {
         let correct = l.prediction == taken;
 
         // Meta: trains only when the two components disagree, toward
@@ -149,6 +136,31 @@ impl Predictor for TwoBcGskew {
         }
 
         self.history.push(taken);
+    }
+}
+
+impl Predictor for TwoBcGskew {
+    fn clone_box(&self) -> Box<dyn Predictor> {
+        Box::new(self.clone())
+    }
+
+    fn name(&self) -> String {
+        format!("2bc-gskew(s={},h={})", self.bank_bits, self.long_history)
+    }
+
+    fn predict(&self, pc: u64) -> bool {
+        self.lookup(pc).prediction
+    }
+
+    fn update(&mut self, pc: u64, taken: bool) {
+        let l = self.lookup(pc);
+        self.train(l, taken);
+    }
+
+    fn step(&mut self, pc: u64, _target: Option<u64>, taken: bool) -> bool {
+        let l = self.lookup(pc);
+        self.train(l, taken);
+        l.prediction
     }
 
     fn cost(&self) -> Cost {

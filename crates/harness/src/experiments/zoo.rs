@@ -25,6 +25,17 @@
 //! through [`engine::cached_spec_rates`], so the sliced lanes (gshare)
 //! and the batch fallbacks (the zoo) share one key space and repeat
 //! runs are served entirely from the store.
+//!
+//! Where the time goes: gshare rides the bit-sliced engine, and the
+//! other four families are batch lanes, which carry nearly all of a
+//! cold run's engine time. TAGE and the cascade (whose second stage is
+//! a TAGE) are the slowest per branch, then the perceptron and bi-mode.
+//! The batch engine drives each lane through one fused
+//! `Predictor::step` per branch. That makes TAGE and the cascade
+//! affordable here: TAGE's folded histories advance once per history
+//! push, so a lookup re-folds nothing and allocates nothing, and
+//! TAGE, the cascade and the perceptron train from the lookup they
+//! predicted with (DESIGN.md §16).
 
 use bpred_core::cost::paper_size_ladder;
 use bpred_core::{BiModeConfig, Perceptron, PredictorSpec};

@@ -4,9 +4,10 @@
 use std::io::Cursor;
 
 use bimode_repro::core::index::{fold_xor, gselect_index, gshare_index, low_bits, skew_index};
+use bimode_repro::core::spec::GRAMMAR;
 use bimode_repro::core::{
-    BiMode, BiModeConfig, Bimodal, Counter2, GlobalHistory, Gshare, Predictor, PredictorSpec,
-    SatCounter,
+    BiMode, BiModeConfig, Bimodal, Counter2, DelayedUpdate, GlobalHistory, Gshare, Predictor,
+    PredictorSpec, SatCounter,
 };
 use bimode_repro::trace::{read_binary, write_binary, BranchKind, BranchRecord, Trace};
 use proptest::prelude::*;
@@ -40,6 +41,103 @@ fn predictor_specs() -> impl Strategy<Value = PredictorSpec> {
         "btfnt",
     ])
     .prop_map(|s| s.parse().expect("fixed specs parse"))
+}
+
+/// Specs the fused-step property drives: every grammar name at least
+/// once, plus the configurations whose `step` overrides take distinct
+/// paths (one-bit TAGE tags, the full 63-bit history, total-update
+/// gskew, and cascades with btfnt and tage stages).
+const STEP_SPECS: &[&str] = &[
+    "always-taken",
+    "always-not-taken",
+    "btfnt",
+    "bimodal:s=6",
+    "gshare:s=8,h=8",
+    "gselect:a=3,h=4",
+    "gag:h=8",
+    "gas:a=2,h=5",
+    "pag:i=4,h=5",
+    "pas:i=4,a=2,h=5",
+    "sag:i=4,k=2,h=5",
+    "sas:i=4,k=2,a=2,h=4",
+    "bimode:d=6",
+    "agree:s=7,h=5,b=7",
+    "gskew:s=6,h=6",
+    "gskew:s=6,h=6,update=total",
+    "yags:c=7,e=5,h=5,t=6",
+    "tournament:s=6",
+    "2bcgskew:s=7,h=6",
+    "trimode:d=6,c=7,h=5",
+    "tage:t=3,h=8,tag=5,e=5",
+    "tage:t=4,h=63,tag=1,e=4",
+    "perceptron:n=5,h=8,theta=23",
+    "cascade:btfnt;tage:t=2,h=8,tag=4,e=4",
+    "cascade:bimodal:s=5;perceptron:n=3,h=6;tage:t=3,h=16,tag=6,e=5",
+];
+
+/// A fresh predictor for `spec`, behind a delayed-update wrapper of
+/// `delay` branches when `delay` is nonzero.
+fn step_subject(spec: &str, delay: usize) -> Box<dyn Predictor> {
+    let p = spec
+        .parse::<PredictorSpec>()
+        .expect("fixed specs parse")
+        .build();
+    if delay == 0 {
+        p
+    } else {
+        Box::new(DelayedUpdate::new(p, delay))
+    }
+}
+
+/// An arbitrary short branch stream with decoded targets on both sides
+/// of each branch.
+fn targeted_stream() -> impl Strategy<Value = Vec<(u64, u64, bool)>> {
+    prop::collection::vec((0u64..64, 0u64..128, any::<bool>()), 1..200).prop_map(|v| {
+        v.into_iter()
+            .map(|(pc, t, taken)| (0x1000 + pc * 4, 0x1000 + t * 4, taken))
+            .collect()
+    })
+}
+
+#[test]
+fn step_specs_cover_the_grammar() {
+    for (name, _) in GRAMMAR {
+        assert!(
+            STEP_SPECS
+                .iter()
+                .any(|s| s.split(':').next() == Some(*name)),
+            "no step spec for grammar name `{name}`"
+        );
+    }
+}
+
+proptest! {
+    /// The fused step is the reference pair: for every spec, `step`
+    /// with a target returns `predict_with_target`, without one
+    /// `predict`, and leaves the state `update` would — down to the
+    /// full `Debug` rendering after every branch.
+    #[test]
+    fn step_equals_predict_then_update(
+        delay in prop::sample::select(vec![0usize, 1, 3]),
+        with_target in any::<bool>(),
+        stream in targeted_stream(),
+    ) {
+        for spec in STEP_SPECS {
+            let mut stepped = step_subject(spec, delay);
+            let mut reference = step_subject(spec, delay);
+            for &(pc, target, taken) in &stream {
+                let expected = if with_target {
+                    reference.predict_with_target(pc, target)
+                } else {
+                    reference.predict(pc)
+                };
+                let got = stepped.step(pc, with_target.then_some(target), taken);
+                prop_assert_eq!(got, expected, "{}", spec);
+                reference.update(pc, taken);
+                prop_assert_eq!(format!("{stepped:?}"), format!("{reference:?}"));
+            }
+        }
+    }
 }
 
 proptest! {
