@@ -20,10 +20,8 @@
 //! smaller stream (a pair that meets twice matters less than one that
 //! meets a million times).
 
-use std::collections::HashMap;
-
 use bpred_core::Predictor;
-use bpred_trace::Trace;
+use bpred_trace::{PcMap, Trace};
 
 use crate::bias::{BiasClass, StreamStats};
 
@@ -70,7 +68,7 @@ impl AliasReport {
         );
         // counter -> (branch pc -> stream stats)
         let started = std::time::Instant::now();
-        let mut by_counter: HashMap<usize, HashMap<u64, StreamStats>> = HashMap::new();
+        let mut by_counter: PcMap<usize, PcMap<u64, StreamStats>> = PcMap::default();
         let mut branches = 0u64;
         for record in trace.conditional() {
             branches += 1;

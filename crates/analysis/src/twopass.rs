@@ -8,10 +8,8 @@
 //! misprediction, and bias-class change to the class its substream
 //! belongs to.
 
-use std::collections::HashMap;
-
 use bpred_core::Predictor;
-use bpred_trace::Trace;
+use bpred_trace::{PcMap, Trace};
 
 use crate::bias::{BiasClass, StreamStats};
 use crate::simulate::RunResult;
@@ -174,7 +172,7 @@ impl Analysis {
             "bias analysis needs identifiable counters; {} has none",
             predictor.name()
         );
-        let mut streams: HashMap<(u64, usize), StreamStats> = HashMap::new();
+        let mut streams: PcMap<(u64, usize), StreamStats> = PcMap::default();
         for record in trace.conditional() {
             let counter = predictor
                 .counter_id(record.pc)
@@ -191,7 +189,7 @@ impl Analysis {
         let mut per_counter = vec![CounterBias::default(); num_counters];
         let mut last_class: Vec<Option<BiasClass>> = vec![None; num_counters];
         let mut change_runs: Vec<u64> = vec![0; 3]; // interrupted runs by absolute class
-        let mut changes_at: HashMap<usize, [u64; 3]> = HashMap::new();
+        let mut changes_at: PcMap<usize, [u64; 3]> = PcMap::default();
         let mut breakdown = MispredictionBreakdown::default();
         let mut run = RunResult::default();
 

@@ -659,23 +659,20 @@ fn stream_chunks(
                 let mut buf = vec![0u8; count * WIRE_RECORD_BYTES];
                 reader.read_exact(&mut buf)?;
                 let records = decode_records(&buf).map_err(invalid)?;
-                let mut item = Request::Chunk { tenant, records };
-                let mut waited = false;
-                loop {
-                    match shard.try_send(item) {
-                        Ok(()) => break,
-                        Err(TrySendError::Full(back)) => {
-                            // Backpressure: hold the client's socket
-                            // until the shard catches up.
-                            item = back;
-                            waited = true;
-                            thread::yield_now();
-                        }
-                        Err(TrySendError::Closed(_)) => {
+                let waited = match shard.try_send(Request::Chunk { tenant, records }) {
+                    Ok(()) => false,
+                    // Backpressure: hold the client's socket until the
+                    // shard catches up.
+                    Err(TrySendError::Full(item)) => {
+                        if shard.send(item).is_err() {
                             return Ok(Err("server is shutting down".to_owned()));
                         }
+                        true
                     }
-                }
+                    Err(TrySendError::Closed(_)) => {
+                        return Ok(Err("server is shutting down".to_owned()));
+                    }
+                };
                 let mut totals = shared.totals.lock();
                 totals.chunks += 1;
                 if waited {

@@ -9,7 +9,9 @@
 //! * [`TraceStats`] — the static/dynamic counts and bias distribution
 //!   reported in the paper's Table 2 and Section 4 analysis;
 //! * [`codec`] — a compact binary format and a line-oriented text format
-//!   for persisting traces.
+//!   for persisting traces;
+//! * [`pchash`] — the keyed, fast hasher of the per-record maps keyed by
+//!   branch PC.
 //!
 //! ```
 //! use bpred_trace::{BranchRecord, Trace};
@@ -29,6 +31,7 @@
 pub mod codec;
 pub mod digest;
 pub mod packed;
+pub mod pchash;
 pub mod record;
 pub mod stats;
 pub mod trace;
@@ -38,6 +41,7 @@ pub use codec::{
 };
 pub use digest::TraceDigest;
 pub use packed::{PackError, PackedRecord, PackedTrace, PackedTraceBuilder, SEAL_RECORDS};
+pub use pchash::PcMap;
 pub use record::{BranchKind, BranchRecord};
 pub use stats::{site_table, BiasBucket, SiteSummary, TraceStats};
 pub use trace::Trace;

@@ -33,11 +33,12 @@
 //! [`PackedTraceBuilder`]: records are appended in arrival order, the
 //! per-record columns seal in fixed-size blocks of [`SEAL_RECORDS`]
 //! (a sealed block's bytes never change again), and a running
-//! [`TraceDigest`] identifies the stream so far. [`PackedTraceBuilder::finish`]
-//! yields a `PackedTrace` byte-identical to [`PackedTrace::build`] over
-//! the same record sequence.
+//! [`TraceDigest`] identifies the stream so far. [`PackedTrace::build`]
+//! is the same builder fed a whole trace, so both paths produce the
+//! same `PackedTrace` for the same record sequence.
 
 use crate::digest::TraceDigest;
+use crate::pchash::PcMap;
 use crate::record::{BranchKind, BranchRecord};
 use crate::stats::{BiasBucket, TraceStats};
 use crate::trace::Trace;
@@ -163,50 +164,30 @@ pub struct PackedTrace {
 }
 
 impl PackedTrace {
-    /// Packs the conditional branches of `trace`.
+    /// Packs the conditional branches of `trace` in one pass over its
+    /// records: this is [`PackedTraceBuilder`] fed the whole trace. The
+    /// trace's digest is folded in the same pass and left in the
+    /// trace's memo (see [`Trace::digest`]); a memo already present is
+    /// reused instead of folding again.
     ///
     /// # Errors
     ///
     /// Returns [`PackError::TooManySites`] if the trace has more than
     /// `u32::MAX` distinct conditional branch sites.
     pub fn build(trace: &Trace) -> Result<Self, PackError> {
-        let mut site_ids: std::collections::HashMap<u64, u32> = std::collections::HashMap::new();
-        let mut site_pcs = Vec::new();
-        let conditional_hint = trace
-            .records()
-            .iter()
-            .filter(|r| r.kind == BranchKind::Conditional)
-            .count();
-        let mut sites = Vec::with_capacity(conditional_hint);
-        let mut outcomes = BitColumn::with_capacity(conditional_hint);
-        let mut backward = BitColumn::with_capacity(conditional_hint);
-        for r in trace.conditional() {
-            let id = match site_ids.get(&r.pc) {
-                Some(&id) => id,
-                None => {
-                    let id =
-                        u32::try_from(site_pcs.len()).map_err(|_| PackError::TooManySites {
-                            sites: site_pcs.len() as u64 + 1,
-                        })?;
-                    site_ids.insert(r.pc, id);
-                    site_pcs.push(r.pc);
-                    id
-                }
-            };
-            let index = sites.len();
-            sites.push(id);
-            outcomes.push(index, r.taken);
-            backward.push(index, r.is_backward());
-        }
-        Ok(Self {
-            name: trace.name().to_owned(),
-            sites,
-            outcomes,
-            backward,
-            site_pcs,
-            stats: trace.stats(),
-            digest: trace.digest(),
-        })
+        let mut builder = PackedTraceBuilder::with_capacity(trace.name(), trace.len());
+        let digest = if let Some(digest) = trace.memoised_digest() {
+            for r in trace.records() {
+                builder.pack(r)?;
+            }
+            digest
+        } else {
+            builder.append_all(trace.records())?;
+            let digest = builder.running_digest();
+            trace.seed_digest(digest);
+            digest
+        };
+        Ok(builder.finish_with_digest(digest))
     }
 
     /// The workload name of the source trace.
@@ -329,7 +310,7 @@ pub const SEAL_RECORDS: usize = 4096;
 #[derive(Debug, Clone)]
 pub struct PackedTraceBuilder {
     name: String,
-    site_ids: std::collections::HashMap<u64, u32>,
+    site_ids: PcMap<u64, u32>,
     site_pcs: Vec<u64>,
     sites: Vec<u32>,
     outcomes: BitColumn,
@@ -346,13 +327,20 @@ impl PackedTraceBuilder {
     /// An empty builder for a trace named `name`.
     #[must_use]
     pub fn new(name: &str) -> Self {
+        Self::with_capacity(name, 0)
+    }
+
+    /// An empty builder whose per-record columns have room for
+    /// `records` conditional records; [`finish`](Self::finish) gives
+    /// back what the trace's other kinds left unused.
+    fn with_capacity(name: &str, records: usize) -> Self {
         Self {
             name: name.to_owned(),
-            site_ids: std::collections::HashMap::new(),
+            site_ids: PcMap::default(),
             site_pcs: Vec::new(),
-            sites: Vec::new(),
-            outcomes: BitColumn::default(),
-            backward: BitColumn::default(),
+            sites: Vec::with_capacity(records),
+            outcomes: BitColumn::with_capacity(records),
+            backward: BitColumn::with_capacity(records),
             site_outcomes: Vec::new(),
             digest: TraceDigest::new(),
             records_seen: 0,
@@ -370,6 +358,13 @@ impl PackedTraceBuilder {
     /// a distinct conditional site beyond the `u32` id space.
     pub fn append(&mut self, record: &BranchRecord) -> Result<Option<PackedRecord>, PackError> {
         self.digest.update(record);
+        self.pack(record)
+    }
+
+    /// [`append`](Self::append) without the digest fold, for a source
+    /// whose digest is already known.
+    #[inline]
+    fn pack(&mut self, record: &BranchRecord) -> Result<Option<PackedRecord>, PackError> {
         self.records_seen += 1;
         if record.kind != BranchKind::Conditional {
             return Ok(None);
@@ -463,6 +458,14 @@ impl PackedTraceBuilder {
     /// same record sequence.
     #[must_use]
     pub fn finish(self) -> PackedTrace {
+        let digest = self.digest.finish();
+        self.finish_with_digest(digest)
+    }
+
+    fn finish_with_digest(mut self, digest: u64) -> PackedTrace {
+        self.sites.shrink_to_fit();
+        self.outcomes.words.shrink_to_fit();
+        self.backward.words.shrink_to_fit();
         let mut stats = TraceStats {
             static_conditional: self.site_pcs.len(),
             dynamic_total: self.records_seen,
@@ -484,7 +487,7 @@ impl PackedTraceBuilder {
             backward: self.backward,
             site_pcs: self.site_pcs,
             stats,
-            digest: self.digest.finish(),
+            digest,
         }
     }
 }
@@ -492,6 +495,7 @@ impl PackedTraceBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample() -> Trace {
         let mut t = Trace::new("sample");
@@ -602,19 +606,47 @@ mod tests {
         }
     }
 
-    #[test]
-    fn builder_matches_one_shot_build_field_for_field() {
-        let t = sample();
-        let mut b = PackedTraceBuilder::new("sample");
-        let mut packed_count = 0;
-        for r in t.records() {
-            packed_count += usize::from(b.append(r).unwrap().is_some());
+    proptest! {
+        /// `build` is the builder, so it is checked against oracles
+        /// that share none of its code: first-seen site ids found by
+        /// linear search, `TraceStats::measure`, a fresh digest fold
+        /// and the trace's own conditional stream.
+        #[test]
+        fn build_agrees_with_independent_oracles(
+            records in prop::collection::vec(crate::trace::tests::record(), 0..300),
+            memo_first in any::<bool>(),
+        ) {
+            let trace = Trace::from_records("oracle", records.clone());
+            let want_digest = crate::trace::tests::fold(&records);
+            if memo_first {
+                prop_assert_eq!(trace.digest(), want_digest);
+            }
+            let p = PackedTrace::build(&trace).unwrap();
+
+            let mut first_seen: Vec<u64> = Vec::new();
+            let mut want_sites = Vec::new();
+            for r in trace.conditional() {
+                let id = first_seen.iter().position(|&pc| pc == r.pc).unwrap_or_else(|| {
+                    first_seen.push(r.pc);
+                    first_seen.len() - 1
+                });
+                want_sites.push(id as u32);
+            }
+            prop_assert_eq!(p.site_pcs(), &first_seen[..]);
+            prop_assert_eq!(p.records().map(|r| r.site).collect::<Vec<_>>(), want_sites);
+
+            prop_assert_eq!(p.stats(), &TraceStats::measure(&trace));
+            prop_assert_eq!(p.digest(), want_digest);
+            prop_assert_eq!(trace.memoised_digest(), Some(want_digest));
+
+            let replayed: Vec<(u64, bool, bool)> =
+                p.records().map(|r| (r.pc, r.taken, r.backward)).collect();
+            let source: Vec<(u64, bool, bool)> = trace
+                .conditional()
+                .map(|r| (r.pc, r.taken, r.is_backward()))
+                .collect();
+            prop_assert_eq!(replayed, source);
         }
-        assert_eq!(packed_count, 3);
-        assert_eq!(b.len(), 3);
-        assert_eq!(b.records_seen(), 4);
-        assert_eq!(b.running_digest(), t.digest());
-        assert_eq!(b.finish(), PackedTrace::build(&t).unwrap());
     }
 
     #[test]

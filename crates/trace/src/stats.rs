@@ -3,8 +3,7 @@
 //! analysis builds on (cf. the \[Chang94\] measurement the paper cites:
 //! ~50% of dynamic branches come from statics biased >90% one way).
 
-use std::collections::HashMap;
-
+use crate::pchash::PcMap;
 use crate::record::BranchKind;
 use crate::trace::Trace;
 
@@ -61,7 +60,7 @@ impl SiteSummary {
 /// cross-check in `cfa.report`.
 #[must_use]
 pub fn site_table(trace: &Trace) -> Vec<SiteSummary> {
-    let mut per_branch: HashMap<u64, (u64, u64)> = HashMap::new();
+    let mut per_branch: PcMap<u64, (u64, u64)> = PcMap::default();
     for r in trace.iter() {
         if r.kind != BranchKind::Conditional {
             continue;
@@ -105,6 +104,9 @@ pub struct TraceStats {
 impl TraceStats {
     /// Measures a trace. The per-site aggregation is [`site_table`],
     /// so this summary and the per-site view can never disagree.
+    /// [`PackedTrace::build`](crate::PackedTrace::build) derives the
+    /// same numbers from its own per-site tallies; this separate pass
+    /// is the oracle its tests compare against.
     #[must_use]
     pub fn measure(trace: &Trace) -> Self {
         let mut stats = TraceStats {
