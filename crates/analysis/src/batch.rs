@@ -6,10 +6,11 @@
 //! therefore streams the trace N times. [`measure_batch`] instead
 //! drives *all* configurations over a single pass of one
 //! [`PackedTrace`], blocked so the trace side of the working set stays
-//! cache-resident: records are the outer blocks
-//! ([`BLOCK_RECORDS`] at a time, ~17 KB of packed columns), predictors
-//! the inner loop, so each block is read from cache N times instead of
-//! the whole trace being read from memory N times.
+//! cache-resident: records are the outer blocks (one sealed block of
+//! [`SEAL_RECORDS`](bpred_trace::SEAL_RECORDS) at a time, ~17 KB of
+//! packed columns), predictors the inner loop, so each block is read
+//! from cache N times instead of the whole trace being read from
+//! memory N times.
 //!
 //! Results are bit-identical to running the scalar loop per
 //! configuration (property-tested in `tests/packed_engine.rs`): the
@@ -24,11 +25,6 @@ use bpred_trace::PackedTrace;
 use crate::session::{BatchSession, PackedSession};
 use crate::simulate::RunResult;
 
-/// Records per block of the batched drive loop. 4096 records are
-/// ~17 KB of packed columns (site ids plus two bit columns) — resident
-/// in L1d while every predictor of the batch consumes them.
-pub const BLOCK_RECORDS: usize = 4096;
-
 /// Drives `predictor` over a packed trace in program order (one fused
 /// [`Predictor::step`] per branch), with results identical to the
 /// scalar predict-then-update [`measure`](crate::simulate::measure)
@@ -39,38 +35,6 @@ pub const BLOCK_RECORDS: usize = 4096;
 pub fn measure_packed<P: Predictor + ?Sized>(packed: &PackedTrace, predictor: &mut P) -> RunResult {
     let mut session = PackedSession::<_, P>::new(predictor);
     session.feed(packed.records());
-    session.finish()
-}
-
-/// Like [`measure_packed`], but resets the predictor every
-/// `flush_interval` branches — the packed counterpart of
-/// [`measure_with_flushes`](crate::simulate::measure_with_flushes).
-///
-/// Wrapper over [`PackedSession`]: feeds one `flush_interval`-sized
-/// window per chunk and resets the resumable predictor state between
-/// windows — the chunk boundary *is* the flush boundary.
-///
-/// # Panics
-///
-/// Panics if `flush_interval` is zero.
-pub fn measure_packed_with_flushes<P: Predictor + ?Sized>(
-    packed: &PackedTrace,
-    predictor: &mut P,
-    flush_interval: u64,
-) -> RunResult {
-    assert!(flush_interval > 0, "flush interval must be positive");
-    let interval = usize::try_from(flush_interval).unwrap_or(usize::MAX);
-    let mut session = PackedSession::<_, P>::new(predictor);
-    let len = packed.len();
-    let mut start = 0;
-    while start < len {
-        if start > 0 {
-            session.predictor_mut().reset();
-        }
-        let end = start.saturating_add(interval).min(len);
-        session.feed((start..end).map(|i| packed.record(i)));
-        start = end;
-    }
     session.finish()
 }
 
@@ -94,12 +58,8 @@ pub fn measure_packed_with_flushes<P: Predictor + ?Sized>(
 /// dispatch; mixed batches work through `Box<dyn Predictor>`.
 pub fn measure_batch<P: Predictor>(packed: &PackedTrace, predictors: &mut [P]) -> Vec<RunResult> {
     let mut session = BatchSession::new(predictors);
-    let len = packed.len();
-    let mut block_start = 0;
-    while block_start < len {
-        let block_end = (block_start + BLOCK_RECORDS).min(len);
-        session.feed((block_start..block_end).map(|i| packed.record(i)));
-        block_start = block_end;
+    for block in packed.blocks() {
+        session.feed(block.map(|i| packed.record(i)));
     }
     session.finish()
 }
@@ -107,8 +67,8 @@ pub fn measure_batch<P: Predictor>(packed: &PackedTrace, predictors: &mut [P]) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simulate::{measure, measure_with_flushes};
-    use bpred_core::{AlwaysTaken, BiMode, BiModeConfig, Bimodal, Gshare, PredictorSpec};
+    use crate::simulate::measure;
+    use bpred_core::{Bimodal, Gshare, PredictorSpec};
     use bpred_trace::{BranchRecord, Trace};
 
     fn mixed_trace(len: u64) -> Trace {
@@ -188,7 +148,7 @@ mod tests {
     fn block_boundary_exactness() {
         // Lengths straddling the block size: one under, exact, one over.
         for extra in [-1i64, 0, 1] {
-            let len = (BLOCK_RECORDS as i64 + extra) as u64;
+            let len = (bpred_trace::SEAL_RECORDS as i64 + extra) as u64;
             let t: Trace = (0..len)
                 .map(|i| BranchRecord::conditional(0x1000 + (i % 5) * 4, 0, i % 7 < 3))
                 .collect();
@@ -198,31 +158,5 @@ mod tests {
             let want = measure(&t, &mut Gshare::new(7, 7));
             assert_eq!(got, [want], "len {len}");
         }
-    }
-
-    #[test]
-    fn packed_flushes_match_scalar_flushes() {
-        let t = mixed_trace(3000);
-        let packed = PackedTrace::build(&t).unwrap();
-        for interval in [1u64, 10, 997] {
-            let want = measure_with_flushes(
-                &t,
-                &mut BiMode::new(BiModeConfig::paper_default(7)),
-                interval,
-            );
-            let got = measure_packed_with_flushes(
-                &packed,
-                &mut BiMode::new(BiModeConfig::paper_default(7)),
-                interval,
-            );
-            assert_eq!(want, got, "interval {interval}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "flush interval")]
-    fn zero_flush_interval_is_rejected() {
-        let packed = PackedTrace::build(&mixed_trace(10)).unwrap();
-        let _ = measure_packed_with_flushes(&packed, &mut AlwaysTaken, 0);
     }
 }

@@ -154,12 +154,6 @@ where
         }
     }
 
-    /// Mutable access to the resumable predictor state, for callers
-    /// that reset between measurement windows (the flushed variants).
-    pub fn predictor_mut(&mut self) -> &mut P {
-        self.predictor.borrow_mut()
-    }
-
     /// Closes the session: records the engine drive (one lane, busy
     /// time summed over every `feed`) and returns the final result.
     #[must_use]
@@ -244,6 +238,15 @@ where
             self.branches += 1;
         }
         self.busy += started.elapsed();
+    }
+
+    /// Resets every predictor of the batch to its power-on state, as
+    /// a context-switch flush does between measurement windows. The
+    /// tallies run on across the reset.
+    pub fn reset(&mut self) {
+        for predictor in self.batch.as_mut() {
+            predictor.reset();
+        }
     }
 
     /// Per-configuration results over everything fed so far, without

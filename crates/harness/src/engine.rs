@@ -1,56 +1,139 @@
-//! The harness side of the packed execution engine: fan a batch of
-//! predictor configurations over packed traces in a single pass each,
-//! parallelising over traces.
+//! The harness's one rate front door: [`rates`] measures a grid of
+//! [`Point`]s over packed traces and returns `rates[point][trace]`.
 //!
-//! The sweeps and ablations all reduce to the same shape: N
-//! configurations measured over T traces. The scalar path costs N
-//! full-trace walks per trace; [`batch_rates`] instead packs the batch
-//! through [`bpred_analysis::measure_batch`], so each trace is streamed
-//! once and its cache-resident blocks are reused across all N
-//! configurations.
+//! Every figure and ablation of the paper is a misprediction rate: a
+//! predictor spec, driven plainly, behind an update-delay FIFO, or with
+//! periodic flushes, measured over a suite of traces. A [`Point`] names
+//! one such measurement, and [`Point::job_spec`] is the one place a
+//! rate gets its result-store key. [`rates`] serves every stored
+//! (point, trace) pair from the store and measures the rest in as few
+//! passes as the engines allow:
+//!
+//! - plain points that [`LaneSpec::of`] classifies as sliceable (the
+//!   gshare family, bimodal included) ride the bit-sliced engine in
+//!   [`MAX_LANES`]-wide lane groups;
+//! - every other point falls back explicitly to the batch engine, in
+//!   one mixed `Box<dyn Predictor>` pass per (trace, flush interval).
+//!
+//! Each (trace, group) pass is one work item sharded across threads by
+//! [`parallel::map`], so a grid parallelises even over a single trace.
+//! Sessions are fed one sealed block at a time ([`PackedTrace::blocks`],
+//! the chunk geometry the streaming service replays and the session
+//! property tests pin). A flushed group's blocks are also clipped at
+//! its flush boundaries, where the whole batch is reset.
 //!
 //! Work accounting (branches simulated, configurations driven) is
-//! recorded process-wide by the measurement loops themselves (see
+//! recorded process-wide by the sessions themselves (see
 //! [`bpred_analysis::metrics`]) and attributed to stages by
 //! [`crate::observe::Observer`]; the engine carries no throughput
 //! plumbing of its own.
 
+use std::ops::Range;
+
 use bpred_analysis::session::{BatchSession, PackedSession, SlicedSession};
 use bpred_analysis::sliced::LaneSpec;
-use bpred_analysis::SiteMisses;
-use bpred_core::{Predictor, PredictorSpec};
-use bpred_trace::{PackedTrace, SEAL_RECORDS};
+use bpred_analysis::{RunResult, SiteMisses, MAX_LANES};
+use bpred_core::{DelayedUpdate, Predictor, PredictorSpec};
+use bpred_trace::PackedTrace;
 
 use crate::parallel;
 use crate::store::{self, JobSpec};
 
-/// Records fed per session chunk on the sweep path: one sealed block
-/// of a chunk-built [`PackedTrace`], so the sweep engine exercises the
-/// exact chunk geometry the streaming service replays and the
-/// bit-identity property tests pin.
-pub const SESSION_CHUNK: usize = SEAL_RECORDS;
+/// One rate measurement: a predictor spec and how it is driven. Each
+/// variant is one of the result store's rate job kinds.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Point {
+    /// A plain drive from power-on.
+    Rate(PredictorSpec),
+    /// A drive whose updates reach the tables `depth` branches late
+    /// (branch-resolution latency, see [`DelayedUpdate`]).
+    Delayed {
+        /// The delayed predictor.
+        spec: PredictorSpec,
+        /// Depth of the update FIFO, in branches.
+        depth: usize,
+    },
+    /// A drive that resets the predictor to power-on every `interval`
+    /// branches (a context-switch model). The interval must be
+    /// positive; "never" is a plain [`Point::Rate`].
+    Flushed {
+        /// The flushed predictor.
+        spec: PredictorSpec,
+        /// Branches between flushes.
+        interval: u64,
+    },
+}
 
-/// Feeds `len` records to a session in [`SESSION_CHUNK`]-sized ranges.
-fn feed_chunked<F: FnMut(std::ops::Range<usize>)>(len: usize, mut feed: F) {
-    let mut start = 0;
-    while start < len {
-        let end = (start + SESSION_CHUNK).min(len);
-        feed(start..end);
-        start = end;
+impl Point {
+    /// The point's result-store identity.
+    #[must_use]
+    pub fn job_spec(&self) -> JobSpec {
+        match self {
+            Point::Rate(spec) => JobSpec::rate(spec),
+            Point::Delayed { spec, depth } => JobSpec::delayed_rate(spec, *depth as u64),
+            Point::Flushed { spec, interval } => JobSpec::flushed_rate(spec, *interval),
+        }
+    }
+
+    /// The sliced-engine lane of a sliceable plain point.
+    fn lane(&self) -> Option<LaneSpec> {
+        match self {
+            Point::Rate(spec) => LaneSpec::of(spec),
+            Point::Delayed { .. } | Point::Flushed { .. } => None,
+        }
+    }
+
+    /// The flush interval of a flushed point.
+    fn flush(&self) -> Option<u64> {
+        match self {
+            Point::Flushed { interval, .. } => Some(*interval),
+            Point::Rate(_) | Point::Delayed { .. } => None,
+        }
+    }
+
+    /// A power-on fresh predictor for the batch engine.
+    fn build(&self) -> Box<dyn Predictor> {
+        match self {
+            Point::Rate(spec) | Point::Flushed { spec, .. } => spec.build(),
+            Point::Delayed { spec, depth } => Box::new(DelayedUpdate::new(spec.build(), *depth)),
+        }
     }
 }
 
+/// The sealed blocks of `trace`, clipped at every multiple of `flush`
+/// when one is given. Each range is paired with whether it
+/// opens at a flush boundary, where the caller resets its predictors.
+///
+/// # Panics
+///
+/// Panics if `flush` is `Some(0)`.
+fn segments(trace: &PackedTrace, flush: Option<u64>) -> Vec<(bool, Range<usize>)> {
+    assert_ne!(flush, Some(0), "flush interval must be positive");
+    let interval = flush.map_or(usize::MAX, |f| usize::try_from(f).unwrap_or(usize::MAX));
+    let mut segments = Vec::new();
+    for block in trace.blocks() {
+        let mut start = block.start;
+        while start < block.end {
+            let end = block
+                .end
+                .min((start / interval + 1).saturating_mul(interval));
+            segments.push((start > 0 && start % interval == 0, start..end));
+            start = end;
+        }
+    }
+    segments
+}
+
 /// Per-site misprediction table of `spec` over one packed trace,
-/// driven through a chunk-fed [`PackedSession`] with site tracking on
-/// — the same session geometry the sweep and streaming paths use, so
-/// the rows are reproducible from any chunking of the same records.
+/// driven through a block-fed [`PackedSession`] with site tracking on,
+/// so the rows are reproducible from any chunking of the same records.
 #[must_use]
 pub fn site_miss_table(trace: &PackedTrace, spec: &PredictorSpec) -> Vec<SiteMisses> {
     let mut session = PackedSession::<_, dyn Predictor>::new(spec.build());
     session.track_sites();
-    feed_chunked(trace.len(), |range| {
-        session.feed(range.map(|i| trace.record(i)));
-    });
+    for block in trace.blocks() {
+        session.feed(block.map(|i| trace.record(i)));
+    }
     let rows = session
         .site_tally()
         .map(bpred_analysis::SiteTally::rows)
@@ -69,247 +152,136 @@ pub fn average(rates: &[f64]) -> f64 {
     }
 }
 
-/// Drives a freshly built predictor batch over every packed trace in a
-/// single pass each — traces in parallel (bounded by `jobs`),
-/// configurations batched within each pass — and returns
-/// `rates[config][trace]` misprediction rates.
-///
-/// `configs` is the size of the batch `build` returns; the caller
-/// always knows it (it is the length of the config grid being swept),
-/// and carrying it explicitly means an empty trace list costs nothing —
-/// no throwaway batch is constructed just to count it.
-///
-/// `build` is called once per trace, so every trace sees power-on-fresh
-/// predictor state, exactly like the scalar per-(config, trace) loops
-/// this replaces. Homogeneous builders (`Vec<Gshare>`, `Vec<BiMode>`)
-/// get a fully monomorphised measurement loop; mixed grids use
-/// `Vec<Box<dyn Predictor>>`.
-pub fn batch_rates<P, F>(
-    traces: &[&PackedTrace],
-    jobs: Option<usize>,
-    configs: usize,
-    build: F,
-) -> Vec<Vec<f64>>
-where
-    P: Predictor,
-    F: Fn() -> Vec<P> + Sync,
-{
-    let per_trace: Vec<Vec<f64>> = parallel::map(traces.to_vec(), jobs, |t| {
-        let mut batch = build();
-        debug_assert_eq!(
-            batch.len(),
-            configs,
-            "declared config count must match the built batch"
-        );
-        bpred_analysis::measure_batch(t, &mut batch)
-            .into_iter()
-            .map(|r| r.misprediction_rate())
-            .collect()
-    });
-    let mut rates = vec![Vec::with_capacity(traces.len()); configs];
-    for trace_rates in &per_trace {
-        for (config, rate) in trace_rates.iter().enumerate() {
-            rates[config].push(*rate);
-        }
-    }
-    rates
+/// How one group of missing points is driven.
+#[derive(Debug, PartialEq)]
+enum Drive {
+    /// One lane group of the bit-sliced engine.
+    Sliced(Vec<LaneSpec>),
+    /// One mixed batch, flushed every so many branches when given.
+    Batch(Option<u64>),
 }
 
-/// Store-aware [`batch_rates`]: plans one [`crate::store::Job`] per
-/// (configuration, trace) point, serves hits from the result store,
-/// and fans only the cache-missing configurations of each trace into
-/// one batched pass. Returns `rates[config][trace]`, bit-identical to
-/// an uncached run — hits replay stored branch/misprediction counts
-/// through the same rate expression the live path evaluates.
-///
-/// `specs[i]` is the store identity of configuration `i`; `build`
-/// receives the *indices* of the configurations that missed for the
-/// trace at hand (in ascending order) and must return exactly those
-/// predictors, power-on fresh, in that order. On a warm store `build`
-/// is never called and the traces are never streamed.
-pub fn cached_batch_rates<P, F>(
-    traces: &[&PackedTrace],
-    jobs: Option<usize>,
-    specs: &[JobSpec],
-    build: F,
-) -> Vec<Vec<f64>>
-where
-    P: Predictor,
-    F: Fn(&[usize]) -> Vec<P> + Sync,
-{
-    let per_trace: Vec<Vec<f64>> = parallel::map(traces.to_vec(), jobs, |t| {
-        let digest = t.digest();
-        let mut trace_rates: Vec<Option<f64>> = specs
-            .iter()
-            .map(|s| store::lookup_run(s.job(digest)).map(|r| r.misprediction_rate()))
-            .collect();
-        let missing: Vec<usize> = trace_rates
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.is_none())
-            .map(|(i, _)| i)
-            .collect();
-        if !missing.is_empty() {
-            let mut batch = build(&missing);
-            debug_assert_eq!(
-                batch.len(),
-                missing.len(),
-                "builder must produce exactly the missing configurations"
-            );
-            let results = bpred_analysis::measure_batch(t, &mut batch);
-            for (&i, r) in missing.iter().zip(&results) {
-                store::insert_run(specs[i].job(digest), r);
-                trace_rates[i] = Some(r.misprediction_rate());
-            }
-        }
-        trace_rates
-            .into_iter()
-            .map(|r| r.expect("every configuration is either a hit or freshly measured")) // panic-audited: the missing set is exactly the None slots, all filled above
-            .collect()
-    });
-    let mut rates = vec![Vec::with_capacity(traces.len()); specs.len()];
-    for trace_rates in &per_trace {
-        for (config, rate) in trace_rates.iter().enumerate() {
-            rates[config].push(*rate);
-        }
-    }
-    rates
+/// One pass over one trace: the points it measures, in grid order.
+#[derive(Debug)]
+struct Group {
+    trace: usize,
+    points: Vec<usize>,
+    drive: Drive,
 }
 
-/// Spec-aware, store-aware engine dispatch: the sweep front door.
-///
-/// Plans one store job per (configuration, trace) point — the *same*
-/// `Kind::Rate` keys the scalar and batch paths use, so warm caches
-/// from either engine serve this one and vice versa (results are
-/// proven bit-identical by `bpred-check`, which is what keeps a shared
-/// key space sound). Missing points are partitioned by
-/// [`LaneSpec::of`]:
-///
-/// - **Sliceable** specs (the gshare family, bimodal included) are
-///   packed into [`bpred_analysis::MAX_LANES`]-wide lane groups and
-///   driven by the bit-sliced engine, one pass per group.
-/// - Everything else **falls back explicitly** to the batch engine in
-///   one mixed `Box<dyn Predictor>` pass per trace.
-///
-/// Every (trace, lane-group) pass is one independent work item
-/// sharded across threads by the lock-free [`parallel::map`] — so a
-/// sweep over many configurations parallelises even over a single
-/// trace. Returns `rates[config][trace]`.
-#[must_use]
-pub fn cached_spec_rates(
-    traces: &[&PackedTrace],
-    jobs: Option<usize>,
-    specs: &[PredictorSpec],
-) -> Vec<Vec<f64>> {
-    let job_specs: Vec<JobSpec> = specs.iter().map(JobSpec::rate).collect();
-    let lanes: Vec<Option<LaneSpec>> = specs.iter().map(LaneSpec::of).collect();
-
-    // Phase A: probe the store for every point, in parallel over
-    // traces; collect the missing config indices per trace, split by
-    // engine eligibility.
-    struct Probe {
-        rates: Vec<Option<f64>>,
-        sliceable: Vec<usize>,
-        fallback: Vec<usize>,
-    }
-    let probes: Vec<Probe> = parallel::map(traces.to_vec(), jobs, |t| {
-        let digest = t.digest();
-        let rates: Vec<Option<f64>> = job_specs
-            .iter()
-            .map(|s| store::lookup_run(s.job(digest)).map(|r| r.misprediction_rate()))
-            .collect();
-        let mut sliceable = Vec::new();
-        let mut fallback = Vec::new();
-        for (i, rate) in rates.iter().enumerate() {
-            if rate.is_none() {
-                if lanes[i].is_some() {
-                    sliceable.push(i);
-                } else {
-                    fallback.push(i);
+impl Group {
+    /// Measures the group's points, power-on fresh, over `trace`.
+    fn measure(&self, trace: &PackedTrace, points: &[Point]) -> Vec<RunResult> {
+        match &self.drive {
+            Drive::Sliced(lanes) => {
+                let mut session = SlicedSession::new(lanes);
+                for block in trace.blocks() {
+                    session.feed(block.map(|i| trace.record(i)));
                 }
+                session.finish()
+            }
+            Drive::Batch(flush) => {
+                let batch: Vec<Box<dyn Predictor>> =
+                    self.points.iter().map(|&i| points[i].build()).collect();
+                let mut session = BatchSession::new(batch);
+                for (flushed, range) in segments(trace, *flush) {
+                    if flushed {
+                        session.reset();
+                    }
+                    session.feed(range.map(|i| trace.record(i)));
+                }
+                session.finish()
             }
         }
-        Probe {
-            rates,
-            sliceable,
-            fallback,
-        }
-    });
+    }
+}
 
-    // Phase B: flatten the missing points into (trace, group) work
-    // items — lane groups for the sliced engine, one mixed batch per
-    // trace for the fallbacks — and measure them in parallel.
-    struct Item {
-        trace: usize,
-        indices: Vec<usize>,
-        sliced: bool,
-    }
-    let mut items = Vec::new();
-    for (trace, probe) in probes.iter().enumerate() {
-        for group in probe.sliceable.chunks(bpred_analysis::MAX_LANES) {
-            items.push(Item {
-                trace,
-                indices: group.to_vec(),
-                sliced: true,
-            });
-        }
-        if !probe.fallback.is_empty() {
-            items.push(Item {
-                trace,
-                indices: probe.fallback.clone(),
-                sliced: false,
-            });
-        }
-    }
-    let measured: Vec<(usize, Vec<(usize, f64)>)> = parallel::map(items, jobs, |item| {
-        let t = traces[item.trace];
+/// Looks every (trace, point) pair up in the result store, in parallel
+/// over traces: `probe[trace][point]`, `None` where it missed.
+fn probe(traces: &[&PackedTrace], jobs: Option<usize>, specs: &[JobSpec]) -> Vec<Vec<Option<f64>>> {
+    parallel::map(traces.to_vec(), jobs, |t| {
         let digest = t.digest();
-        // Both engines run as chunked sessions fed one sealed block at
-        // a time — the same incremental path the streaming service
-        // drives, bit-identical to the one-shot wrappers by the session
-        // equivalence property tests.
-        let results = if item.sliced {
-            let group: Vec<LaneSpec> = item
-                .indices
-                .iter()
-                .map(|&i| lanes[i].expect("sliceable items hold classified configs")) // panic-audited: phase A put only LaneSpec-classified indices in sliceable groups
-                .collect();
-            let mut session = SlicedSession::new(&group);
-            feed_chunked(t.len(), |range| session.feed(range.map(|i| t.record(i))));
-            session.finish()
-        } else {
-            let batch: Vec<Box<dyn Predictor>> =
-                item.indices.iter().map(|&i| specs[i].build()).collect();
-            let mut session = BatchSession::new(batch);
-            feed_chunked(t.len(), |range| session.feed(range.map(|i| t.record(i))));
-            session.finish()
-        };
-        let rates = item
-            .indices
+        specs
+            .iter()
+            .map(|s| store::lookup_run(s.job(digest)).map(|r| r.misprediction_rate()))
+            .collect()
+    })
+}
+
+/// Groups the missed pairs of a [`probe`] into passes: per trace, the
+/// sliceable points in lane groups of at most [`MAX_LANES`], then one
+/// batch per distinct flush interval.
+fn plan(points: &[Point], probed: &[Vec<Option<f64>>]) -> Vec<Group> {
+    let mut groups = Vec::new();
+    for (trace, rates) in probed.iter().enumerate() {
+        let missing = (0..points.len()).filter(|&i| rates[i].is_none());
+        let (sliced, batched): (Vec<usize>, Vec<usize>) =
+            missing.partition(|&i| points[i].lane().is_some());
+        for chunk in sliced.chunks(MAX_LANES) {
+            groups.push(Group {
+                trace,
+                points: chunk.to_vec(),
+                drive: Drive::Sliced(chunk.iter().filter_map(|&i| points[i].lane()).collect()),
+            });
+        }
+        let first_batch = groups.len();
+        for i in batched {
+            let drive = Drive::Batch(points[i].flush());
+            match groups[first_batch..].iter_mut().find(|g| g.drive == drive) {
+                Some(group) => group.points.push(i),
+                None => groups.push(Group {
+                    trace,
+                    points: vec![i],
+                    drive,
+                }),
+            }
+        }
+    }
+    groups
+}
+
+/// Measures every point over every trace: `rates[point][trace]`
+/// misprediction rates, each bit-identical to the scalar reference
+/// loop for its kind ([`bpred_analysis::measure`],
+/// [`bpred_analysis::measure_with_flushes`], or `measure` over a
+/// [`DelayedUpdate`]).
+///
+/// Pairs already in the result store are served from it, so on a warm
+/// store no predictor is built and no trace is streamed. The rest are
+/// measured in the passes the module docs describe, `jobs` bounding
+/// the parallelism, and stored.
+///
+/// # Panics
+///
+/// Panics if a [`Point::Flushed`] has a zero interval.
+#[must_use]
+pub fn rates(traces: &[&PackedTrace], jobs: Option<usize>, points: &[Point]) -> Vec<Vec<f64>> {
+    let specs: Vec<JobSpec> = points.iter().map(Point::job_spec).collect();
+    let mut per_trace = probe(traces, jobs, &specs);
+    let measured = parallel::map(plan(points, &per_trace), jobs, |group| {
+        let trace = traces[group.trace];
+        let results = group.measure(trace, points);
+        let rates: Vec<(usize, f64)> = group
+            .points
             .iter()
             .zip(&results)
             .map(|(&i, r)| {
-                store::insert_run(job_specs[i].job(digest), r);
+                store::insert_run(specs[i].job(trace.digest()), r);
                 (i, r.misprediction_rate())
             })
             .collect();
-        (item.trace, rates)
+        (group.trace, rates)
     });
-
-    // Phase C: merge measured points into the probed grid and
-    // transpose to rates[config][trace].
-    let mut per_trace: Vec<Vec<Option<f64>>> = probes.into_iter().map(|p| p.rates).collect();
-    for (trace, results) in measured {
-        for (config, rate) in results {
-            per_trace[trace][config] = Some(rate);
+    for (trace, rates) in measured {
+        for (point, rate) in rates {
+            per_trace[trace][point] = Some(rate);
         }
     }
-    let mut rates = vec![Vec::with_capacity(traces.len()); specs.len()];
-    for trace_rates in &per_trace {
-        for (config, rate) in trace_rates.iter().enumerate() {
-            rates[config]
-                .push(rate.expect("every configuration is either a hit or freshly measured"));
-            // panic-audited: phase B measured exactly the None slots phase A collected
+    let mut rates = vec![Vec::with_capacity(traces.len()); points.len()];
+    for trace_rates in per_trace {
+        for (point, rate) in trace_rates.into_iter().enumerate() {
+            rates[point].push(rate.expect("every point is either a hit or freshly measured"));
+            // panic-audited: `plan` grouped exactly the pairs `probe` missed, and each group filled its own
         }
     }
     rates
@@ -318,175 +290,198 @@ pub fn cached_spec_rates(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bpred_core::{BiMode, BiModeConfig, Gshare};
+    use bpred_analysis::metrics::{engine_snapshot, Engine};
     use bpred_trace::{BranchRecord, Trace};
+    use proptest::prelude::*;
 
-    fn trace(seed: u64, len: u64) -> Trace {
+    /// `len` conditional branches over 40 sites, forward and backward,
+    /// from a seed no other test (or earlier process) shares, so every
+    /// first measurement misses the result store.
+    fn trace(seed: u64, len: usize) -> Trace {
         let mut t = Trace::new("t");
-        let mut x = seed | 1;
+        let mut x = (seed ^ u64::from(std::process::id()) << 32) | 1;
         for _ in 0..len {
             x = x
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            t.push(BranchRecord::conditional(
-                0x1000 + (x % 40) * 4,
-                0,
-                (x >> 21) & 1 == 0,
-            ));
+            let pc = 0x1000 + (x % 40) * 4;
+            let target = if (x >> 40) & 1 == 0 {
+                pc - 0x40
+            } else {
+                pc + 0x40
+            };
+            t.push(BranchRecord::conditional(pc, target, (x >> 21) & 1 == 0));
         }
         t
     }
 
-    fn batch() -> Vec<Box<dyn Predictor>> {
-        vec![
-            Box::new(Gshare::new(8, 8)),
-            Box::new(Gshare::new(8, 0)),
-            Box::new(BiMode::new(BiModeConfig::paper_default(6))),
-        ]
+    fn spec(s: &str) -> PredictorSpec {
+        s.parse().expect("valid spec")
     }
 
-    #[test]
-    fn rates_match_scalar_per_config_runs() {
-        let (a, b) = (trace(3, 6000), trace(99, 2000));
-        let (pa, pb) = (
-            PackedTrace::build(&a).unwrap(),
-            PackedTrace::build(&b).unwrap(),
-        );
-        let rates = batch_rates(&[&pa, &pb], Some(2), 3, batch);
-        assert_eq!(rates.len(), 3);
-        for (config, mut p) in batch().into_iter().enumerate() {
-            for (i, t) in [&a, &b].into_iter().enumerate() {
-                p.reset();
-                let want = bpred_analysis::measure(t, p.as_mut()).misprediction_rate();
-                assert!(
-                    (rates[config][i] - want).abs() == 0.0,
-                    "config {config} trace {i}"
-                );
+    /// The scalar reference loop for one point.
+    fn oracle(trace: &Trace, point: &Point) -> f64 {
+        let result = match point {
+            Point::Rate(spec) => bpred_analysis::measure(trace, spec.build().as_mut()),
+            Point::Delayed { spec, depth } => {
+                bpred_analysis::measure(trace, &mut DelayedUpdate::new(spec.build(), *depth))
             }
+            Point::Flushed { spec, interval } => {
+                bpred_analysis::measure_with_flushes(trace, spec.build().as_mut(), *interval)
+            }
+        };
+        result.misprediction_rate()
+    }
+
+    /// Sliceable specs first, then batch fallbacks.
+    const SPECS: [&str; 7] = [
+        "gshare:s=8,h=8",
+        "gshare:s=7,h=3",
+        "bimodal:s=6",
+        "bimode:d=6",
+        "btfnt",
+        "gskew:s=6,h=6",
+        "always-taken",
+    ];
+
+    /// A random point: kind, spec and parameter drawn independently.
+    /// Flush intervals never divide a 4096-record block; 6144 and
+    /// 8192 land flush boundaries on block starts.
+    fn point() -> impl Strategy<Value = Point> {
+        (
+            0usize..3,
+            prop::sample::select(SPECS.to_vec()),
+            0usize..6,
+            prop::sample::select(vec![3u64, 1000, 3000, 4095, 4097, 6144, 8192]),
+        )
+            .prop_map(|(kind, name, depth, interval)| match kind {
+                0 => Point::Rate(spec(name)),
+                1 => Point::Delayed {
+                    spec: spec(name),
+                    depth,
+                },
+                _ => Point::Flushed {
+                    spec: spec(name),
+                    interval,
+                },
+            })
+    }
+
+    proptest! {
+        #[test]
+        fn rates_equal_the_scalar_oracle_and_replay_from_the_store(
+            points in prop::collection::vec(point(), 1..10),
+            seed in any::<u64>(),
+            base in prop::sample::select(vec![0usize, 4000, 8100, 12200]),
+            extra in 0usize..300,
+        ) {
+            // Two traces straddling sealed-block boundaries.
+            let traces = [trace(seed, base + extra), trace(!seed, 4096 + extra)];
+            let packed: Vec<PackedTrace> =
+                traces.iter().map(|t| PackedTrace::build(t).unwrap()).collect();
+            let refs: Vec<&PackedTrace> = packed.iter().collect();
+            let got = rates(&refs, Some(2), &points);
+            for (p, point) in points.iter().enumerate() {
+                for (t, trace) in traces.iter().enumerate() {
+                    prop_assert_eq!(got[p][t], oracle(trace, point));
+                }
+            }
+            // Warm: nothing left to measure, the same rates from the store.
+            let specs: Vec<JobSpec> = points.iter().map(Point::job_spec).collect();
+            let warm = plan(&points, &probe(&refs, Some(1), &specs));
+            prop_assert!(warm.is_empty(), "a warm grid planned {:?}", warm);
+            prop_assert_eq!(rates(&refs, Some(2), &points), got);
         }
     }
 
     #[test]
-    fn empty_trace_list_never_builds_a_batch() {
-        // The declared count shapes the result; `build` must not run.
-        let rates = batch_rates::<Box<dyn Predictor>, _>(&[], None, 3, || {
-            unreachable!("no traces, no batch construction")
-        });
-        assert_eq!(rates.len(), 3);
-        assert!(rates.iter().all(Vec::is_empty));
+    fn segments_clip_blocks_at_flush_boundaries() {
+        let t = PackedTrace::build(&trace(1, 9000)).unwrap();
+        let plain: Vec<_> = segments(&t, None);
+        assert_eq!(
+            plain,
+            [(false, 0..4096), (false, 4096..8192), (false, 8192..9000)]
+        );
+        assert_eq!(
+            segments(&t, Some(3000)),
+            [
+                (false, 0..3000),
+                (true, 3000..4096),
+                (false, 4096..6000),
+                (true, 6000..8192),
+                (false, 8192..9000),
+            ]
+        );
+        assert_eq!(
+            segments(&t, Some(4096)),
+            [(false, 0..4096), (true, 4096..8192), (true, 8192..9000)]
+        );
     }
 
     #[test]
-    fn drives_are_recorded_for_the_observer() {
-        let t = trace(7, 3000);
-        let p = PackedTrace::build(&t).unwrap();
-        let before = bpred_analysis::metrics::snapshot();
-        let _ = batch_rates(&[&p], Some(1), 3, batch);
-        let delta = bpred_analysis::metrics::snapshot().since(&before);
-        assert!(delta.branches >= 3000 * 3, "got {delta:?}");
-        assert!(delta.configs >= 3, "got {delta:?}");
+    fn plain_points_split_between_the_sliced_and_batch_engines() {
+        let t = PackedTrace::build(&trace(2, 3000)).unwrap();
+        let mut points: Vec<Point> = (0..=6u32)
+            .map(|m| {
+                Point::Rate(PredictorSpec::Gshare {
+                    table_bits: 6,
+                    history_bits: m,
+                })
+            })
+            .collect();
+        points.push(Point::Rate(spec("bimode:d=5")));
+        let groups = plan(&points, &[vec![None; points.len()]]);
+        assert_eq!(groups.len(), 2, "{groups:?}");
+        assert!(matches!(&groups[0].drive, Drive::Sliced(lanes) if lanes.len() == 7));
+        assert_eq!(groups[1].drive, Drive::Batch(None));
+        let before = engine_snapshot();
+        let _ = rates(&[&t], Some(2), &points);
+        let delta = engine_snapshot().since(&before);
+        assert!(delta.get(Engine::Sliced).lanes >= 7, "{delta:?}");
+        assert!(delta.get(Engine::Batch).lanes >= 1, "{delta:?}");
+    }
+
+    #[test]
+    fn batches_split_by_flush_interval() {
+        let flushed = |interval| Point::Flushed {
+            spec: spec("bimode:d=5"),
+            interval,
+        };
+        let points = [
+            flushed(100),
+            Point::Delayed {
+                spec: spec("gshare:s=6,h=6"),
+                depth: 2,
+            },
+            flushed(200),
+            flushed(100),
+        ];
+        let groups = plan(&points, &[vec![None; 4], vec![Some(0.5); 4]]);
+        let shape: Vec<(usize, &[usize], &Drive)> = groups
+            .iter()
+            .map(|g| (g.trace, g.points.as_slice(), &g.drive))
+            .collect();
+        assert_eq!(
+            shape,
+            [
+                (0, &[0, 3][..], &Drive::Batch(Some(100))),
+                (0, &[1][..], &Drive::Batch(None)),
+                (0, &[2][..], &Drive::Batch(Some(200))),
+            ]
+        );
+    }
+
+    #[test]
+    fn rates_handle_empty_inputs() {
+        let grid = [Point::Rate(spec("bimodal:s=4"))];
+        assert_eq!(rates(&[], Some(1), &grid), [Vec::<f64>::new()]);
+        let t = PackedTrace::build(&trace(3, 200)).unwrap();
+        assert!(rates(&[&t], Some(1), &[]).is_empty());
     }
 
     #[test]
     fn average_handles_empty_and_values() {
         assert_eq!(average(&[]), 0.0);
         assert!((average(&[0.1, 0.3]) - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cached_rates_match_uncached_and_hit_on_rerun() {
-        use bpred_core::PredictorSpec;
-        // A trace no other test shares, so first-run miss accounting
-        // and second-run hits are attributable to this test alone.
-        let t = trace(0xC0FFEE ^ u64::from(std::process::id()), 4000);
-        let p = PackedTrace::build(&t).unwrap();
-        let specs: Vec<PredictorSpec> = ["gshare:s=7,h=7", "gshare:s=7,h=3", "bimode:d=6"]
-            .iter()
-            .map(|s| s.parse().unwrap())
-            .collect();
-        let job_specs: Vec<JobSpec> = specs.iter().map(JobSpec::rate).collect();
-        let build = |idx: &[usize]| -> Vec<Box<dyn Predictor>> {
-            idx.iter().map(|&i| specs[i].build()).collect()
-        };
-        let plain = batch_rates(&[&p], Some(1), 3, || build(&[0, 1, 2]));
-        let first = cached_batch_rates(&[&p], Some(1), &job_specs, build);
-        assert_eq!(first, plain, "cached path must be bit-identical");
-        let before = store::counters();
-        let second = cached_batch_rates(
-            &[&p],
-            Some(1),
-            &job_specs,
-            |_: &[usize]| -> Vec<Box<dyn Predictor>> { panic!("warm store must not rebuild") },
-        );
-        assert_eq!(second, plain);
-        let delta = store::counters().since(&before);
-        assert!(delta.hits >= 3, "all three configs must hit: {delta:?}");
-    }
-
-    #[test]
-    fn spec_rates_match_the_batch_engine_bit_for_bit() {
-        use bpred_core::PredictorSpec;
-        // A gshare-family grid plus explicit-fallback specs in one
-        // call: the sliced and batch paths land in the same grid and
-        // must equal an all-batch reference run exactly.
-        let t = trace(0xBEEF ^ u64::from(std::process::id()), 5000);
-        let p = PackedTrace::build(&t).unwrap();
-        let specs: Vec<PredictorSpec> = [
-            "gshare:s=8,h=8",
-            "gshare:s=8,h=3",
-            "bimodal:s=7",
-            "bimode:d=6",
-            "always-taken",
-        ]
-        .iter()
-        .map(|s| s.parse().unwrap())
-        .collect();
-        let got = cached_spec_rates(&[&p], Some(2), &specs);
-        let want = batch_rates(&[&p], Some(1), specs.len(), || {
-            specs.iter().map(|s| s.build()).collect::<Vec<_>>()
-        });
-        assert_eq!(got, want, "sliced dispatch must be bit-identical");
-    }
-
-    #[test]
-    fn spec_rates_use_the_sliced_engine_and_share_store_keys() {
-        use bpred_analysis::metrics::{engine_snapshot, Engine};
-        use bpred_core::PredictorSpec;
-        let t = trace(0xACE5 ^ u64::from(std::process::id()), 4000);
-        let p = PackedTrace::build(&t).unwrap();
-        let specs: Vec<PredictorSpec> = (0..=6u32)
-            .map(|m| PredictorSpec::Gshare {
-                table_bits: 6,
-                history_bits: m,
-            })
-            .collect();
-        let before = engine_snapshot();
-        let first = cached_spec_rates(&[&p], Some(2), &specs);
-        let delta = engine_snapshot().since(&before);
-        assert!(
-            delta.get(Engine::Sliced).lanes >= 7,
-            "gshare grid must ride the sliced engine: {delta:?}"
-        );
-        // The same points must now be warm for the batch-keyed path.
-        let job_specs: Vec<JobSpec> = specs.iter().map(JobSpec::rate).collect();
-        let store_before = store::counters();
-        let second = cached_batch_rates(
-            &[&p],
-            Some(1),
-            &job_specs,
-            |_: &[usize]| -> Vec<Box<dyn Predictor>> { panic!("warm store must not rebuild") },
-        );
-        assert_eq!(second, first);
-        let hits = store::counters().since(&store_before).hits;
-        assert!(hits >= 7, "sliced results must serve batch keys: {hits}");
-    }
-
-    #[test]
-    fn spec_rates_handle_empty_inputs() {
-        let rates = cached_spec_rates(&[], Some(1), &["bimodal:s=4".parse().unwrap()]);
-        assert_eq!(rates, [Vec::<f64>::new()]);
-        let t = trace(11, 200);
-        let p = PackedTrace::build(&t).unwrap();
-        assert!(cached_spec_rates(&[&p], Some(1), &[]).is_empty());
     }
 }

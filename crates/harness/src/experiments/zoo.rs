@@ -21,8 +21,8 @@
 //! * `cascade` of a quarter-size bimodal into a two-table tage —
 //!   about 1.5x plus the 64-entry gate table.
 //!
-//! Exact KB is printed per row; every point is planned as a store job
-//! through [`engine::cached_spec_rates`], so the sliced lanes (gshare)
+//! Exact KB is printed per row; the whole ladder is one grid of plain
+//! rate points through [`engine::rates`], so the sliced lanes (gshare)
 //! and the batch fallbacks (the zoo) share one key space and repeat
 //! runs are served entirely from the store.
 //!
@@ -40,7 +40,7 @@
 use bpred_core::cost::paper_size_ladder;
 use bpred_core::{BiModeConfig, Perceptron, PredictorSpec};
 
-use crate::engine;
+use crate::engine::{self, Point};
 use crate::experiments::{kib, pct};
 use crate::format::{Report, Table};
 use crate::traces::TraceSet;
@@ -101,7 +101,8 @@ pub fn zoo_cost(set: &TraceSet, jobs: Option<usize>) -> Report {
     );
     let ladder = paper_size_ladder();
     let grid: Vec<PredictorSpec> = ladder.iter().flat_map(|&(s, _)| zoo_specs(s)).collect();
-    let rates = engine::cached_spec_rates(&traces, jobs, &grid);
+    let points: Vec<Point> = grid.iter().cloned().map(Point::Rate).collect();
+    let rates = engine::rates(&traces, jobs, &points);
 
     let avg = |point: usize, family: usize| engine::average(&rates[point * ZOO_FAMILIES + family]);
     for (point, &(s, budget_kib)) in ladder.iter().enumerate() {

@@ -8,14 +8,14 @@
 //! In the reproduction's gshare model a configuration at table size
 //! `2^s` is fully described by the history length `m <= s` (the
 //! remaining `s - m` index bits are address bits), so the pairwise grid
-//! collapses to a sweep over `m` — run as one batch over a single pass
-//! of each packed trace, not one trace walk per candidate.
+//! collapses to a sweep over `m`: one grid of plain rate points through
+//! [`engine::rates`], measured in one sliced pass per trace rather
+//! than one trace walk per candidate.
 
-use bpred_core::{Gshare, PredictorSpec};
+use bpred_core::PredictorSpec;
 use bpred_trace::PackedTrace;
 
-use crate::engine;
-use crate::store::{self, JobSpec};
+use crate::engine::{self, Point};
 
 /// The outcome of the exhaustive search at one table size.
 #[derive(Debug, Clone)]
@@ -32,26 +32,6 @@ pub struct BestGshare {
     pub curve: Vec<(u32, f64)>,
 }
 
-/// Runs gshare(`s`, `m`) over every trace, returning per-trace rates.
-/// Each (trace, config) point is one store job, served from the result
-/// store when warm.
-#[must_use]
-pub fn gshare_rates(traces: &[&PackedTrace], table_bits: u32, history_bits: u32) -> Vec<f64> {
-    let spec = JobSpec::rate(&PredictorSpec::Gshare {
-        table_bits,
-        history_bits,
-    });
-    traces
-        .iter()
-        .map(|t| {
-            store::cached_run(spec.job(t.digest()), || {
-                bpred_analysis::measure_packed(t, &mut Gshare::new(table_bits, history_bits))
-            })
-            .misprediction_rate()
-        })
-        .collect()
-}
-
 /// Exhaustively searches `m in 0..=s` for the best suite-average
 /// gshare at table size `2^s`. All candidates ride the bit-sliced
 /// engine in 64-wide lane groups, one pass per (trace, group); `jobs`
@@ -64,14 +44,16 @@ pub fn gshare_rates(traces: &[&PackedTrace], table_bits: u32, history_bits: u32)
 pub fn best_gshare(traces: &[&PackedTrace], table_bits: u32, jobs: Option<usize>) -> BestGshare {
     assert!(!traces.is_empty(), "the search needs at least one trace");
     let candidates: Vec<u32> = (0..=table_bits).collect();
-    let specs: Vec<PredictorSpec> = candidates
+    let points: Vec<Point> = candidates
         .iter()
-        .map(|&m| PredictorSpec::Gshare {
-            table_bits,
-            history_bits: m,
+        .map(|&m| {
+            Point::Rate(PredictorSpec::Gshare {
+                table_bits,
+                history_bits: m,
+            })
         })
         .collect();
-    let rates = engine::cached_spec_rates(traces, jobs, &specs);
+    let rates = engine::rates(traces, jobs, &points);
     let results: Vec<(u32, f64, Vec<f64>)> = candidates
         .into_iter()
         .zip(rates)
@@ -169,10 +151,11 @@ mod tests {
     }
 
     #[test]
-    fn batched_rates_match_the_scalar_helper() {
+    fn winner_rates_match_the_scalar_loop() {
         let t = correlated_trace();
         let best = best_gshare(&[&t], 8, Some(2));
-        let winner = gshare_rates(&[&t], 8, best.history_bits);
-        assert_eq!(winner, best.per_workload);
+        let mut winner = bpred_core::Gshare::new(8, best.history_bits);
+        let want = bpred_analysis::measure_packed(&t, &mut winner).misprediction_rate();
+        assert_eq!(best.per_workload, [want]);
     }
 }

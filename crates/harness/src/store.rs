@@ -228,9 +228,8 @@ impl JobSpec {
     }
 
     /// A rate measurement with predictor flushes every `interval`
-    /// branches (`u64::MAX` conventionally means "never", but still
-    /// keys separately from [`JobSpec::rate`] because the drive loop
-    /// differs).
+    /// branches. "Never flush" is not a flushed rate: it is the plain
+    /// [`JobSpec::rate`] measurement and shares its key.
     #[must_use]
     pub fn flushed_rate(spec: &PredictorSpec, interval: u64) -> Self {
         Self::new(Kind::FlushedRate, spec.fingerprint(), interval)
@@ -576,16 +575,6 @@ pub fn insert_run(job: Job, result: &RunResult) {
     insert(job, &encode_run(result));
 }
 
-/// Serves `job` from the store or computes, persists, and returns it.
-pub fn cached_run(job: Job, compute: impl FnOnce() -> RunResult) -> RunResult {
-    if let Some(r) = lookup_run(job) {
-        return r;
-    }
-    let r = compute();
-    insert_run(job, &r);
-    r
-}
-
 /// Serves a two-pass [`Analysis`] from the store or computes it.
 pub fn cached_analysis(job: Job, compute: impl FnOnce() -> Analysis) -> Analysis {
     if let Some(a) = lookup(job).as_deref().and_then(decode_analysis) {
@@ -817,10 +806,9 @@ mod tests {
             branches: 12345,
             mispredictions: 678,
         };
-        let first = cached_run(job, || r);
-        assert_eq!(first, r);
-        let second = cached_run(job, || panic!("must be served from the store"));
-        assert_eq!(second, r);
+        assert_eq!(lookup_run(job), None);
+        insert_run(job, &r);
+        assert_eq!(lookup_run(job), Some(r));
         let delta = counters().since(&before);
         assert!(delta.misses >= 1 && delta.inserts >= 1, "{delta:?}");
         assert!(delta.hits >= 1, "{delta:?}");

@@ -255,6 +255,16 @@ impl PackedTrace {
         (0..self.len()).map(|i| self.record(i))
     }
 
+    /// The record ranges of the trace's sealed blocks, in program
+    /// order: [`SEAL_RECORDS`] records each, the last one possibly
+    /// shorter. The engines feed their sessions one block at a time.
+    pub fn blocks(&self) -> impl Iterator<Item = std::ops::Range<usize>> {
+        let len = self.len();
+        (0..len)
+            .step_by(SEAL_RECORDS)
+            .map(move |start| start..(start + SEAL_RECORDS).min(len))
+    }
+
     /// Approximate resident bytes of the packed per-record columns
     /// (site ids + two bit columns), the engine's hot working set.
     #[must_use]
@@ -276,8 +286,10 @@ impl PackedTrace {
 /// once a block fills, its slice of the packed columns is immutable
 /// (the bit columns only ever append to the final partial word), so
 /// consumers may stream sealed blocks while the tail is still open.
-/// Matches the batched engine's block size so one sealed block is one
-/// cache-resident unit of work.
+/// It is also the engines' block size (see [`PackedTrace::blocks`]):
+/// 4096 records are ~17 KB of packed columns (site ids plus two bit
+/// columns), resident in L1d while every predictor of a batch
+/// consumes them.
 pub const SEAL_RECORDS: usize = 4096;
 
 /// Chunked [`PackedTrace`] construction for piecewise trace ingestion.
@@ -504,6 +516,21 @@ mod tests {
         t.push(BranchRecord::conditional(0x200, 0x300, false)); // forward
         t.push(BranchRecord::conditional(0x100, 0x80, false));
         t
+    }
+
+    #[test]
+    fn blocks_tile_the_trace_in_sealed_block_steps() {
+        let blocks = |len: u64| {
+            let t: Trace = (0..len)
+                .map(|i| BranchRecord::conditional(0x40 + (i % 3) * 4, 0, i % 2 == 0))
+                .collect();
+            let p = PackedTrace::build(&t).unwrap();
+            p.blocks().map(|b| (b.start, b.end)).collect::<Vec<_>>()
+        };
+        assert!(blocks(0).is_empty());
+        assert_eq!(blocks(5), [(0, 5)]);
+        assert_eq!(blocks(4096), [(0, 4096)]);
+        assert_eq!(blocks(8193), [(0, 4096), (4096, 8192), (8192, 8193)]);
     }
 
     #[test]
