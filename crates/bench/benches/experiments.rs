@@ -81,7 +81,6 @@ fn bench_table2_stats(c: &mut Criterion) {
     group.bench_function("stats", |b| {
         b.iter(|| {
             set.entries()
-                .iter()
                 .map(|(_, t)| t.stats().dynamic_conditional)
                 .sum::<u64>()
         });

@@ -2,7 +2,9 @@
 //! all` resolve to one shared [`Plan`] — trace generation deduped
 //! across experiments, one thread budget, one [`TraceSet`] pool — and
 //! [`execute`] drives every planned experiment sequentially under an
-//! [`Observer`], assembling the run [`Manifest`] as it goes.
+//! [`Observer`], assembling the run [`Manifest`] as it goes. Each
+//! experiment sees only its own suites of the pool, so its results do
+//! not depend on which other experiments share the run.
 //!
 //! Planning is pure (no I/O), so the CLI can reject bad requests
 //! before any trace is generated, and tests can assert on plans
@@ -139,7 +141,7 @@ pub fn execute(
     let mut reports = Vec::new();
     let mut records = Vec::new();
     for def in &plan.experiments {
-        let mut report = observer.stage(def.name, || def.run(&set, plan.jobs));
+        let mut report = observer.stage(def.name, || def.run(&set.restrict(def.suites), plan.jobs));
         let stats = observer
             .last()
             .cloned()
@@ -289,5 +291,18 @@ mod tests {
         let text = m.to_json().emit();
         let summary = M::validate(&text, &["table4", "fig7"]).expect("valid manifest");
         assert!(summary.contains("2 experiments"), "{summary}");
+    }
+
+    #[test]
+    fn an_experiment_sees_only_its_own_suites() {
+        // cfa.report pulls the simulated kernels into the shared pool;
+        // table2 must still list exactly its own SPEC and IBS rows.
+        let csv = |names: &[&str]| {
+            let p = plan(&s(names), Scale::Smoke, Some(2)).expect("valid");
+            let outcome = execute(&p, |_, _, _| {});
+            let table2 = outcome.reports.iter().find(|r| r.id == "table2");
+            table2.expect("table2 ran").sections[0].1.to_csv()
+        };
+        assert_eq!(csv(&["table2", "cfa.report"]), csv(&["table2"]));
     }
 }

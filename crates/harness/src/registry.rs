@@ -46,7 +46,10 @@ pub struct ExperimentDef {
     pub artefact: &'static str,
     /// One-line description for help text and manifests.
     pub doc: &'static str,
-    /// Trace suites the experiment needs (empty: no traces).
+    /// Trace suites the experiment needs (empty: no traces). The
+    /// orchestrator runs the experiment on exactly these suites of the
+    /// run's trace pool, in this order, whatever else the run holds:
+    /// `repro all` and `repro run <name>` give it the same traces.
     pub suites: &'static [Suite],
     /// Scales the experiment supports.
     pub scales: &'static [Scale],
