@@ -244,13 +244,6 @@ pub fn record_engine_drive(engine: Engine, branches: u64, lanes: u64, busy: Dura
     slot.busy_nanos.fetch_add(nanos, Ordering::Relaxed); // ordering-audited: monotone statistic, see above
 }
 
-/// Records one untimed scalar drive. Kept for analysis loops whose
-/// per-iteration work is not a plain measurement pass; their busy time
-/// is attributed by the caller when it matters.
-pub fn record_drive(branches: u64, configs: u64) {
-    record_engine_drive(Engine::Scalar, branches, configs, Duration::ZERO);
-}
-
 /// Reads the current per-engine counter values.
 #[must_use]
 pub fn engine_snapshot() -> EngineSnapshot {
@@ -287,7 +280,7 @@ mod tests {
     #[test]
     fn record_advances_both_counters() {
         let before = snapshot();
-        record_drive(1000, 3);
+        record_engine_drive(Engine::Scalar, 1000, 3, Duration::ZERO);
         let delta = snapshot().since(&before);
         assert!(delta.branches >= 1000);
         assert!(delta.configs >= 3);

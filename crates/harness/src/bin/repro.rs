@@ -201,36 +201,11 @@ fn run(
     eprintln!("{}", total.cache_note());
     eprintln!("{}", total.store_note());
 
-    // A full run refreshes the tracked engine benchmark record at the
-    // repository root (outside `out`, so rerun diffs of the results
-    // directory stay byte-clean).
-    if plan.run_name == "all" {
-        let path = workspace_root().join("BENCH_engine.json");
-        match bpred_harness::manifest::write_engine_bench(&outcome.manifest, &path) {
-            Ok(()) => eprintln!("wrote {}", path.display()),
-            Err(e) => {
-                eprintln!("failed to write {}: {e}", path.display());
-                io_failed = true;
-            }
-        }
-    }
-
     if io_failed {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
     }
-}
-
-/// The workspace root: two levels above this crate's manifest
-/// directory (`crates/harness`).
-fn workspace_root() -> std::path::PathBuf {
-    let manifest_dir = Path::new(env!("CARGO_MANIFEST_DIR"));
-    manifest_dir
-        .ancestors()
-        .nth(2)
-        .unwrap_or(manifest_dir)
-        .to_path_buf()
 }
 
 /// Writes one report's CSVs and plot scripts; returns false on I/O

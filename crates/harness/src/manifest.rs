@@ -782,58 +782,6 @@ fn check_store_provenance(obj: &Json, name: &str) -> Result<(u64, u64, u64), Str
     Ok((planned, cached, computed))
 }
 
-/// The engine benchmark summary written to `BENCH_engine.json`:
-/// whole-run per-engine totals plus the headline `sliced_over_batch`
-/// throughput ratio. The ratio degrades to `null` when either engine
-/// recorded no timed work (e.g. a fully store-warm rerun drives no
-/// branches at all), so resumed runs still emit a valid document.
-#[must_use]
-pub fn engine_bench_json(manifest: &Manifest) -> Json {
-    let batch = manifest
-        .total
-        .engines
-        .get(Engine::Batch)
-        .mbranches_per_sec();
-    let sliced = manifest
-        .total
-        .engines
-        .get(Engine::Sliced)
-        .mbranches_per_sec();
-    let ratio = if batch > 0.0 && sliced > 0.0 {
-        Json::Num(sliced / batch)
-    } else {
-        Json::Null
-    };
-    Json::Obj(vec![
-        ("schema".to_owned(), Json::Num(1.0)),
-        (
-            "crate_version".to_owned(),
-            Json::Str(env!("CARGO_PKG_VERSION").to_owned()),
-        ),
-        ("run".to_owned(), Json::Str(manifest.run.clone())),
-        ("scale".to_owned(), Json::Str(manifest.scale.to_string())),
-        (
-            "wall_s".to_owned(),
-            Json::Num(manifest.total.wall.as_secs_f64()),
-        ),
-        ("engines".to_owned(), engines_json(&manifest.total)),
-        ("sliced_over_batch".to_owned(), ratio),
-    ])
-}
-
-/// Writes the engine benchmark summary to `path` (conventionally
-/// `BENCH_engine.json` at the repository root, kept outside the
-/// results directory so byte-identical rerun comparisons stay clean).
-///
-/// # Errors
-///
-/// Returns any I/O error from writing the file.
-pub fn write_engine_bench(manifest: &Manifest, path: &Path) -> io::Result<()> {
-    let mut text = engine_bench_json(manifest).emit();
-    text.push('\n');
-    fs::write(path, text)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -999,57 +947,6 @@ mod tests {
                 .replacen("\"lanes\": 132", "\"lanes\": 131", 1);
         let err = Manifest::validate(&text, &["fig2", "table4"]).expect_err("mismatch");
         assert!(err.contains("engine lanes") && err.contains("131"), "{err}");
-    }
-
-    #[test]
-    fn engine_bench_reports_the_sliced_over_batch_ratio() {
-        // The fixture runs everything on the batch engine, so the ratio
-        // degrades to null (no sliced work — e.g. a store-warm rerun).
-        let mut m = sample_manifest();
-        let bench = engine_bench_json(&m);
-        assert_eq!(bench.get("run").and_then(Json::as_str), Some("fig2+table4"));
-        assert_eq!(bench.get("sliced_over_batch"), Some(&Json::Null));
-
-        // Equal busy time, 3x the branches: the ratio is exactly 3.
-        m.total.engines = EngineSnapshot::of(
-            Engine::Batch,
-            EngineDrive {
-                branches: 1_000,
-                lanes: 1,
-                busy_nanos: 1_000_000,
-            },
-        )
-        .plus(&EngineSnapshot::of(
-            Engine::Sliced,
-            EngineDrive {
-                branches: 3_000,
-                lanes: 3,
-                busy_nanos: 1_000_000,
-            },
-        ));
-        let bench = engine_bench_json(&m);
-        let ratio = bench
-            .get("sliced_over_batch")
-            .and_then(Json::as_f64)
-            .expect("both engines ran");
-        assert!((ratio - 3.0).abs() < 1e-9, "{ratio}");
-        let engines = bench.get("engines").expect("engines block");
-        for engine in Engine::ALL {
-            assert!(engines.get(engine.label()).is_some(), "{}", engine.label());
-        }
-    }
-
-    #[test]
-    fn engine_bench_writes_a_parseable_document() {
-        let dir = std::env::temp_dir().join(format!("bpred-bench-{}", std::process::id()));
-        fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("BENCH_engine.json");
-        write_engine_bench(&sample_manifest(), &path).expect("bench written");
-        let text = fs::read_to_string(&path).expect("readable");
-        let doc = Json::parse(&text).expect("valid json");
-        assert_eq!(doc.get("schema").and_then(Json::as_u64), Some(1));
-        assert!(doc.get("engines").and_then(|e| e.get("batch")).is_some());
-        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

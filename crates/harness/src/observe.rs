@@ -260,9 +260,14 @@ mod tests {
 
     #[test]
     fn total_sums_the_stages() {
+        use bpred_analysis::metrics::{record_engine_drive, Engine};
         let mut obs = Observer::new();
-        obs.stage("a", || bpred_analysis::metrics::record_drive(100, 1));
-        obs.stage("b", || bpred_analysis::metrics::record_drive(50, 2));
+        obs.stage("a", || {
+            record_engine_drive(Engine::Scalar, 100, 1, Duration::ZERO);
+        });
+        obs.stage("b", || {
+            record_engine_drive(Engine::Scalar, 50, 2, Duration::ZERO);
+        });
         let total = obs.total();
         assert_eq!(total.name, "total");
         assert!(total.branches >= 150);
